@@ -12,7 +12,6 @@ from .graph import (
     full_deficiency_pairs,
     identify_pair,
     is_overfull,
-    max_degree,
     split_vertex,
     to_graph6,
 )
@@ -51,7 +50,6 @@ __all__ = [
     "full_deficiency_pairs",
     "identify_pair",
     "is_overfull",
-    "max_degree",
     "split_vertex",
     "to_graph6",
     "ColoringError",

@@ -10,7 +10,7 @@ from __future__ import annotations
 import random
 from enum import Enum
 
-from .coloring import PartialEdgeColoring
+from .coloring import ColoringError, PartialEdgeColoring
 from .graph import Edge, Graph, edge_key
 
 
@@ -52,7 +52,8 @@ def vizing_plus_one_coloring(g: Graph) -> PartialEdgeColoring:
     col = PartialEdgeColoring(g, k)
     for e in g.edges():
         _color_one_edge(col, e)
-    assert col.is_full() and col.validate()
+    if not (col.is_full() and col.validate()):
+        raise ColoringError("fan rotation left the coloring partial or improper")
     return col
 
 
@@ -79,8 +80,11 @@ def _color_one_edge(col: PartialEdgeColoring, e: Edge) -> None:
         fan.append(nxt)
         in_fan.add(nxt)
 
+    tip_free = col.missing(fan[-1])
+    if not tip_free:
+        raise ColoringError(f"fan tip {fan[-1]} has no free color")
     c_free = min(col.missing(x))
-    d_free = min(col.missing(fan[-1]))
+    d_free = min(tip_free)
     if c_free != d_free and not col.is_missing(x, d_free):
         # invert the (c, d)-path starting at x; afterwards d is free at x
         col.kempe_swap_at(x, c_free, d_free)
@@ -88,7 +92,7 @@ def _color_one_edge(col: PartialEdgeColoring, e: Edge) -> None:
     w_idx = _fan_prefix_with(col, x, fan, d_free)
     if w_idx is None:
         # d became free at the fan tip only through c; retry with the tip
-        raise AssertionError("fan rotation invariant violated")
+        raise ColoringError("fan rotation invariant violated")
     # rotate the prefix: shift each edge color one step toward F[0]
     for i in range(w_idx):
         nxt_color = col.color_of((x, fan[i + 1]))
@@ -156,7 +160,8 @@ def find_edge_coloring(
         inv[pv] = v
     for (u, v), c in sorted(assignment.items()):
         col.color_edge((inv[u], inv[v]), c)
-    assert col.validate()
+    if not col.validate():
+        raise ColoringError("solver returned an improper coloring")
     return col
 
 
@@ -326,5 +331,6 @@ def delta_coloring_of_minus_e(
     col = PartialEdgeColoring(g, delta)
     for f, c in sorted(base.colored_edges().items()):
         col.color_edge(f, c)
-    assert col.uncolored_edges() == [e]
+    if col.uncolored_edges() != [e]:
+        raise ColoringError(f"coloring of the graph minus {e} is not full elsewhere")
     return col

@@ -2,7 +2,8 @@
 and the verification suite. Graphs are read as graph6, one per line, from
 arguments, files, or standard input; --json switches machine output.
 
-Exit codes: 0 success, 1 check failure, 2 usage error.
+Exit codes: 0 success, 1 check failure, 2 usage error, 3 solver budget
+exhausted.
 """
 
 from __future__ import annotations
@@ -12,6 +13,7 @@ import json
 import sys
 
 from .classify import (
+    BudgetExceededError,
     GraphClass,
     delta_coloring_of_minus_e,
     exact_chromatic_index,
@@ -142,7 +144,6 @@ def cmd_pairs(args) -> int:
 
 
 def cmd_critical(args) -> int:
-    status = 0
     for line in _graph_sources(args):
         g = _load(line)
         if args.edge:
@@ -160,7 +161,7 @@ def cmd_critical(args) -> int:
                 {"graph6": to_graph6(g), "delta_critical": flag},
                 f"Delta-critical: {'true' if flag else 'false'}",
             )
-    return status
+    return 0
 
 
 def cmd_split(args) -> int:
@@ -260,13 +261,11 @@ def build_parser() -> argparse.ArgumentParser:
     add_graph_cmd("classify", cmd_classify, "Class 1/2 and exact chromatic index")
     p = add_graph_cmd("color", cmd_color, "produce a proper edge coloring")
     p.add_argument("--exact", action="store_true", help="minimum colors")
-    p.add_argument("--vizing", action="store_true", help="Delta+1 fan coloring")
     p.add_argument("--out", help="write the coloring to a file")
     add_graph_cmd("overfull", cmd_overfull, "edge-count overfullness test")
     add_graph_cmd("pairs", cmd_pairs, "full-deficiency pairs")
     p = add_graph_cmd("critical", cmd_critical, "critical edges / Delta-criticality")
     p.add_argument("--edge", help="single edge 'u,v'")
-    p.add_argument("--all", action="store_true", help="whole-graph test (default)")
     p = add_graph_cmd("split", cmd_split, "vertex splitting")
     p.add_argument("--vertex", type=int, required=True)
     p.add_argument("--part", required=True, help="comma-separated neighbor subset")
@@ -299,6 +298,9 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
+    except BudgetExceededError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 3
     except Graph6Error as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -467,14 +467,6 @@ def parse_coloring(graph: Graph, text: str) -> PartialEdgeColoring:
     return col
 
 
-def full_coloring_from(graph: Graph, assignment: dict[Edge, int], k: int) -> PartialEdgeColoring:
-    """Build a coloring from an explicit edge -> color map."""
-    col = PartialEdgeColoring(graph, k)
-    for e, c in sorted(assignment.items()):
-        col.color_edge(e, c)
-    return col
-
-
 def _mask_to_colors(mask: int) -> set[int]:
     out = set()
     c = 1

@@ -309,10 +309,6 @@ def read_graph6_lines(lines: Iterable[str]) -> Iterator[Graph]:
 # ---------------------------------------------------------------------------
 
 
-def max_degree(g: Graph) -> int:
-    return g.max_degree()
-
-
 def is_overfull(g: Graph) -> bool:
     """True iff the graph has more edges than Delta * floor(n/2).
 

@@ -10,7 +10,7 @@ for a fixed (config, seed): they carry work counts, never wall times.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 
 from .classify import (
@@ -20,13 +20,12 @@ from .classify import (
     find_edge_coloring,
     is_delta_critical,
 )
-from .coloring import PartialEdgeColoring
+from .coloring import ColoringError, PartialEdgeColoring
 from .graph import (
     Graph,
     Multigraph,
     SplitSpec,
     complete_graph,
-    from_graph6,
     full_deficiency_pairs,
     identification_map,
     identify_pair,
@@ -42,7 +41,7 @@ from .normalize import (
     NormalizeDiagnosticError,
     normalize_k5,
 )
-from .report import VerificationReport, failing, passing, vacuous
+from .report import VerificationReport, failing, merge_reports, passing, vacuous
 from .structures import (
     KiersteadPath,
     check_fan_lemmas,
@@ -69,19 +68,12 @@ class CorpusEntry:
 @dataclass
 class Corpus:
     entries: list[CorpusEntry]
-    filters: list[str] = field(default_factory=list)
 
     def __iter__(self):
         return iter(self.entries)
 
     def __len__(self) -> int:
         return len(self.entries)
-
-    def filtered(self, name: str, predicate) -> "Corpus":
-        return Corpus(
-            [e for e in self.entries if predicate(e.graph)],
-            self.filters + [name],
-        )
 
 
 def enumerate_graphs(n: int) -> Corpus:
@@ -110,23 +102,46 @@ def _graph_from_masks(masks: tuple[int, ...]) -> Graph:
     return Graph(n, edges)
 
 
-_CRITICAL_CACHE: dict[int, list[Graph]] = {}
+# n_max -> (Delta-critical graphs, parity report) of one enumeration pass
+_CRITICAL_CACHE: dict[int, tuple[list[Graph], VerificationReport]] = {}
+
+
+def _corpus_pass(n_max: int) -> tuple[list[Graph], VerificationReport]:
+    """Solve each enumerated graph with edges once: a Delta-coloring goes
+    to the parity check, a refuted connected graph to the criticality
+    test."""
+    if n_max not in _CRITICAL_CACHE:
+        critical: list[Graph] = []
+
+        def parity_reports():
+            for entry in enumerate_graphs_upto(n_max):
+                g = entry.graph
+                if not g.edge_count():
+                    continue
+                col = find_edge_coloring(g, g.max_degree())
+                if col is not None:
+                    yield check_parity(col)
+                elif g.is_connected() and is_delta_critical(g):
+                    critical.append(g)
+
+        parity = merge_reports(parity_reports(), "parity")
+        _CRITICAL_CACHE[n_max] = critical, parity
+    return _CRITICAL_CACHE[n_max]
 
 
 def delta_critical_corpus(n_max: int) -> Corpus:
     """All connected graphs up to n_max vertices (up to isomorphism) that
     are Class 2 with every edge critical."""
-    if n_max not in _CRITICAL_CACHE:
-        found = []
-        for entry in enumerate_graphs_upto(n_max):
-            g = entry.graph
-            if g.edge_count() and g.is_connected() and is_delta_critical(g):
-                found.append(g)
-        _CRITICAL_CACHE[n_max] = found
-    return Corpus(
-        [CorpusEntry(g, "enumerated") for g in _CRITICAL_CACHE[n_max]],
-        filters=["delta-critical"],
-    )
+    critical, _ = _corpus_pass(n_max)
+    return Corpus([CorpusEntry(g, "enumerated") for g in critical])
+
+
+def parity_sweep(n_max: int) -> VerificationReport:
+    """Full Delta-colorings found by the solver on Class 1 members of the
+    enumeration all satisfy the per-color parity bound; computed by the
+    same pass as the critical corpus."""
+    _, parity = _corpus_pass(n_max)
+    return parity
 
 
 # ---------------------------------------------------------------------------
@@ -150,7 +165,8 @@ def round_robin_one_factorization(n: int) -> PartialEdgeColoring:
         col.color_edge((n - 1, r), r + 1)
         for i in range(1, n // 2):
             col.color_edge(((r + i) % m, (r - i) % m), r + 1)
-    assert col.is_full() and col.validate()
+    if not (col.is_full() and col.validate()):
+        raise ColoringError("round robin did not produce a proper full coloring")
     return col
 
 
@@ -296,11 +312,10 @@ def verify_theorem2_entry(g: Graph, seed: int = 0) -> VerificationReport:
 
 
 def verify_theorem2(corpus: Corpus, seed: int = 0) -> VerificationReport:
-    reports = [verify_theorem2_entry(e.graph, seed) for e in corpus]
-    out = None
-    for rep in reports:
-        out = rep if out is None else out.merge(rep)
-    return out if out is not None else vacuous("theorem-full-deficiency-overfull")
+    return merge_reports(
+        (verify_theorem2_entry(e.graph, seed) for e in corpus),
+        "theorem-full-deficiency-overfull",
+    )
 
 
 def verify_corollary_entry(g: Graph) -> VerificationReport:
@@ -331,11 +346,10 @@ def verify_corollary_entry(g: Graph) -> VerificationReport:
 
 
 def verify_corollary(corpus: Corpus) -> VerificationReport:
-    out = None
-    for entry in corpus:
-        rep = verify_corollary_entry(entry.graph)
-        out = rep if out is None else out.merge(rep)
-    return out if out is not None else vacuous("corollary-near-full-uniqueness")
+    return merge_reports(
+        (verify_corollary_entry(e.graph) for e in corpus),
+        "corollary-near-full-uniqueness",
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -361,95 +375,65 @@ def _accumulate(acc: dict[str, VerificationReport], rep: VerificationReport) -> 
         acc[rep.check] = rep
 
 
-def sweep_colorings(g: Graph, seeds: int):
-    """Yield (edge, seed, coloring of g minus edge) for every edge."""
-    for e in g.edges():
-        for seed in range(seeds):
-            yield e, seed, delta_coloring_of_minus_e(g, e, seed=seed)
+# (graph, deleted edge, seed, 5-vertex Kierstead path, coloring of graph - edge)
+K5Instance = tuple[Graph, tuple[int, int], int, KiersteadPath, PartialEdgeColoring]
 
 
-def lemma_sweep(corpus: Corpus, seeds: int = 8) -> list[VerificationReport]:
+def lemma_sweep(
+    corpus: Corpus, seeds: int = 8
+) -> tuple[list[VerificationReport], list[K5Instance]]:
     """Run every structure check across the corpus: graph-level degree
     lemmas once per graph, coloring-level checks for `seeds` colorings of
-    each edge deletion."""
+    each edge deletion. Also returns the 5-vertex Kierstead paths whose
+    far end shares at least 3 missing colors with the root pair, each with
+    its coloring, for normalization."""
     acc: dict[str, VerificationReport] = {}
+    k5_instances: list[K5Instance] = []
     for entry in corpus:
         g = entry.graph
         for e in g.edges():
             _accumulate(acc, check_val(g, e))
         for a, b in full_deficiency_pairs(g):
             _accumulate(acc, check_fulldpair_lemma(g, a, b))
-        for e, seed, col in sweep_colorings(g, seeds):
-            for r, s1 in (e, e[::-1]):
-                fan = grow_multifan(col, r, s1)
-                _accumulate(acc, check_fan_lemmas(col, fan))
-            for kp in find_kierstead_paths(col, 3):
-                _accumulate(acc, check_kierstead4(col, kp))
-            for kp in find_kierstead_paths(col, 4):
-                _accumulate(acc, check_k5_claims(col, kp))
-            for wit in find_structure_witnesses(col, "shortkite"):
-                _accumulate(acc, check_shortkite(col, wit))
-            for wit in find_structure_witnesses(col, "kite"):
-                _accumulate(acc, check_kite(col, wit))
-            _accumulate(acc, check_fork_absence(col))
+        for e in g.edges():
+            for seed in range(seeds):
+                col = delta_coloring_of_minus_e(g, e, seed=seed)
+                for r, s1 in (e, e[::-1]):
+                    fan = grow_multifan(col, r, s1)
+                    _accumulate(acc, check_fan_lemmas(col, fan))
+                for kp in find_kierstead_paths(col, 3):
+                    _accumulate(acc, check_kierstead4(col, kp))
+                for kp in find_kierstead_paths(col, 4):
+                    _accumulate(acc, check_k5_claims(col, kp))
+                    a, b, _, _, t = kp.vertices
+                    overlap = col.missing(t) & (col.missing(a) | col.missing(b))
+                    if len(overlap) >= 3:
+                        k5_instances.append((g, e, seed, kp, col))
+                for wit in find_structure_witnesses(col, "shortkite"):
+                    _accumulate(acc, check_shortkite(col, wit))
+                for wit in find_structure_witnesses(col, "kite"):
+                    _accumulate(acc, check_kite(col, wit))
+                _accumulate(acc, check_fork_absence(col))
     for name in SWEEP_CHECKS:
         if name not in acc:
             acc[name] = vacuous(name, reason="no-instances-in-corpus")
-    return [acc[name] for name in SWEEP_CHECKS if name in acc]
-
-
-def parity_sweep(n_max: int, limit: int | None = None) -> VerificationReport:
-    """Full Delta-colorings found by the solver on Class 1 members of the
-    enumeration all satisfy the per-color parity bound."""
-    out = None
-    count = 0
-    for entry in enumerate_graphs_upto(n_max):
-        g = entry.graph
-        if g.edge_count() == 0:
-            continue
-        col = find_edge_coloring(g, g.max_degree())
-        if col is None:
-            continue
-        rep = check_parity(col)
-        out = rep if out is None else out.merge(rep)
-        count += 1
-        if limit is not None and count >= limit:
-            break
-    return out if out is not None else vacuous("parity")
+    return [acc[name] for name in SWEEP_CHECKS if name in acc], k5_instances
 
 
 # ---------------------------------------------------------------------------
-# Normalization mining
+# Normalization of the mined instances
 # ---------------------------------------------------------------------------
 
 
-def mine_k5_instances(
-    corpus: Corpus, seeds: int = 8
-) -> list[tuple[Graph, tuple[int, int], int, KiersteadPath]]:
-    """All (graph, edge, seed, path) tuples over the corpus where a
-    5-vertex Kierstead path has far-end overlap at least 3."""
-    found = []
-    for entry in corpus:
-        g = entry.graph
-        for e, seed, col in sweep_colorings(g, seeds):
-            for kp in find_kierstead_paths(col, 4):
-                a, b, _, _, t = kp.vertices
-                overlap = col.missing(t) & (col.missing(a) | col.missing(b))
-                if len(overlap) >= 3:
-                    found.append((g, e, seed, kp))
-    return found
-
-
-def verify_normalization(corpus: Corpus, seeds: int = 8) -> VerificationReport:
-    """Every mined instance must normalize to the canonical pattern within
-    the swap bound; a completed coloring would contradict criticality."""
+def verify_normalization(instances: list[K5Instance]) -> VerificationReport:
+    """Every instance mined by the lemma sweep must normalize to the
+    canonical pattern within the swap bound; a completed coloring would
+    contradict criticality."""
     check = "kierstead5-normalization"
-    instances = mine_k5_instances(corpus, seeds)
     if not instances:
         return vacuous(check, reason="no-instances-in-corpus")
     met = 0
-    for g, e, seed, kp in instances:
-        col = delta_coloring_of_minus_e(g, e, seed=seed)
+    for g, e, seed, kp, col in instances:
         met += 1
 
         def fail(reason: str) -> VerificationReport:
@@ -473,7 +457,8 @@ def verify_normalization(corpus: Corpus, seeds: int = 8) -> VerificationReport:
             return fail(f"diagnostic: {exc}")
         if isinstance(outcome, ProperColoring):
             return fail("completed a proper coloring on a critical host")
-        assert isinstance(outcome, Normalized)
+        if not isinstance(outcome, Normalized):
+            raise TypeError(f"unexpected normalization outcome {outcome!r}")
         res = outcome.coloring
         a, b, u, s, t = kp.vertices
         conditions = (
@@ -509,7 +494,6 @@ class SuiteConfig:
     n_max: int = 8
     seeds: int = 8
     out_dir: str | None = None
-    graph6: list[str] = field(default_factory=list)
 
 
 @dataclass
@@ -548,12 +532,7 @@ def run_suite(config: SuiteConfig) -> SuiteResult:
     """Execute the requested verification suite and optionally write one
     JSON document per check plus a summary, deterministically."""
     reports: list[VerificationReport] = []
-    if config.graph6:
-        corpus = Corpus(
-            [CorpusEntry(from_graph6(s), "file") for s in config.graph6]
-        ).filtered("delta-critical", is_delta_critical)
-    else:
-        corpus = delta_critical_corpus(config.n_max)
+    corpus = delta_critical_corpus(config.n_max)
 
     if config.suite in ("default", "theorem1"):
         for n in (4, 6):
@@ -564,9 +543,10 @@ def run_suite(config: SuiteConfig) -> SuiteResult:
         reports.append(verify_theorem2(corpus))
         reports.append(verify_corollary(corpus))
     if config.suite in ("default", "lemmas"):
-        reports.extend(lemma_sweep(corpus, config.seeds))
-        reports.append(parity_sweep(min(config.n_max, 8)))
-        reports.append(verify_normalization(corpus, config.seeds))
+        sweep, k5_instances = lemma_sweep(corpus, config.seeds)
+        reports.extend(sweep)
+        reports.append(parity_sweep(config.n_max))
+        reports.append(verify_normalization(k5_instances))
 
     result = SuiteResult(reports, config)
     if config.out_dir:

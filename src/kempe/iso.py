@@ -130,21 +130,22 @@ def graphs_isomorphic(g1: Graph, g2: Graph) -> bool:
     return masks_isomorphic(g1.adjacency_masks(), g2.adjacency_masks())
 
 
-_ENUM_CACHE: dict[int, list[Masks]] = {}
+_ENUM_CACHE: dict[int, tuple[Masks, ...]] = {}
 
 
-def enumerate_mask_graphs(n: int) -> list[Masks]:
+def enumerate_mask_graphs(n: int) -> tuple[Masks, ...]:
     """All simple graphs on n vertices up to isomorphism, as adjacency-mask
     tuples, by augmenting the (n-1)-vertex list with one new vertex per
-    neighbor subset and deduplicating within certificate buckets."""
+    neighbor subset and deduplicating within certificate buckets. The
+    result is an immutable tuple, so callers cannot alter the cache."""
     if n < 0:
         raise ValueError("n must be non-negative")
     if n in _ENUM_CACHE:
         return _ENUM_CACHE[n]
     if n == 0:
-        return [()]
+        return ((),)
     if n == 1:
-        return [(0,)]
+        return ((0,),)
     out: list[Masks] = []
     buckets: dict[tuple, list[Masks]] = {}
     new = n - 1
@@ -159,5 +160,5 @@ def enumerate_mask_graphs(n: int) -> list[Masks]:
             if not any(masks_isomorphic(child, seen) for seen in bucket):
                 bucket.append(child)
                 out.append(child)
-    _ENUM_CACHE[n] = out
-    return out
+    _ENUM_CACHE[n] = tuple(out)
+    return _ENUM_CACHE[n]

@@ -21,6 +21,7 @@ from dataclasses import dataclass
 
 from .coloring import (
     AssignColor,
+    ColoringError,
     PartialEdgeColoring,
     SwapChainAt,
     SwapScript,
@@ -129,7 +130,8 @@ class _Normalizer:
             raise NormalizeDiagnosticError(
                 f"exceeded the {MAX_SWAPS}-swap bound", self.trace
             )
-        assert self.col.validate()
+        if not self.col.validate():
+            raise self.diagnostic("swap left an improper coloring")
 
     def diagnostic(self, msg: str) -> NormalizeDiagnosticError:
         return NormalizeDiagnosticError(msg, self.trace)
@@ -186,7 +188,7 @@ class _Normalizer:
                 if not work.missing(e[0]) or not work.missing(e[1]):
                     continue
                 _color_one_edge(work, edge_key(*e))
-            except Exception:
+            except ColoringError:
                 continue
             if work.is_full() and work.validate():
                 self.col = work
@@ -200,7 +202,8 @@ class _Normalizer:
                 self.escape_if_root_colorable()
                 if self.goal_reached():
                     cbu, cus, cst = self._edge_colors()
-                    assert self.col.validate()
+                    if not self.col.validate():
+                        raise self.diagnostic("normalized coloring is improper")
                     return Normalized(
                         self.col, cbu, cus, cst, self.trace, self.swaps
                     )

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
+from typing import Iterable
 
 
 @dataclass
@@ -72,13 +73,13 @@ class VerificationReport:
         )
 
 
-def merge_reports(reports: list[VerificationReport]) -> VerificationReport:
-    if not reports:
-        raise ValueError("nothing to merge")
-    out = reports[0]
-    for rep in reports[1:]:
-        out = out.merge(rep)
-    return out
+def merge_reports(reports: Iterable[VerificationReport], check: str) -> VerificationReport:
+    """Fold partial results of `check` in order, consuming the iterable
+    lazily; vacuous when it yields nothing."""
+    out = None
+    for rep in reports:
+        out = rep if out is None else out.merge(rep)
+    return out if out is not None else vacuous(check)
 
 
 def passing(check: str, met: int = 1, **details) -> VerificationReport:

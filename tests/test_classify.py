@@ -7,6 +7,7 @@ import pytest
 from kempe.classify import (
     BudgetExceededError,
     GraphClass,
+    _color_one_edge,
     classify,
     delta_coloring_of_minus_e,
     exact_chromatic_index,
@@ -22,6 +23,7 @@ from kempe.graph import (
     cycle_graph,
     star_graph,
 )
+from kempe.coloring import ColoringError, PartialEdgeColoring
 from kempe.structures import check_parity
 
 
@@ -191,3 +193,13 @@ def test_full_colorings_satisfy_parity():
             continue
         assert check_parity(col).passed
         produced += 1
+
+
+def test_fan_rotation_failure_is_a_coloring_error(triangle):
+    # with only Delta colors the fan 1, 2 at vertex 0 ends at a vertex with
+    # no free color, so the routine must refuse rather than crash
+    col = PartialEdgeColoring(triangle, 2)
+    col.color_edge((1, 2), 1)
+    col.color_edge((0, 2), 2)
+    with pytest.raises(ColoringError):
+        _color_one_edge(col, (0, 1))

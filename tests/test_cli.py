@@ -57,7 +57,7 @@ def test_color_exact_writes_parseable_file(capsys, tmp_path: Path):
 
 
 def test_color_vizing_stdout(capsys):
-    code, out = run_cli(capsys, "color", "--vizing", "c5")
+    code, out = run_cli(capsys, "color", "c5")
     assert code == 0
     assert out.splitlines()[0] == "k=3 uncolored=0"
 
@@ -109,3 +109,17 @@ def test_verify_small_suite(capsys, tmp_path: Path):
     assert code == 0
     assert "ALL CHECKS PASSED" in out
     assert (tmp_path / "reports" / "summary.txt").exists()
+
+
+def test_budget_exhaustion_exit_code(capsys, monkeypatch):
+    import kempe.cli
+
+    exact = kempe.cli.exact_chromatic_index
+    monkeypatch.setattr(
+        kempe.cli, "exact_chromatic_index", lambda g: exact(g, node_budget=1)
+    )
+    code = main(["classify", "pstar"])
+    captured = capsys.readouterr()
+    assert code == 3
+    assert captured.out == ""
+    assert "budget exceeded after 2 nodes" in captured.err

@@ -1,19 +1,22 @@
 from __future__ import annotations
 
+import hashlib
 import json
+import sys
 from pathlib import Path
 
 import pytest
 
+import kempe.harness as harness
 from kempe.classify import GraphClass, classify
 from kempe.graph import builtin_fixture, complete_graph, cycle_graph
 from kempe.harness import (
     FamilyError,
     SuiteConfig,
     class1_regular_family,
+    delta_critical_corpus,
     enumerate_graphs,
     lemma_sweep,
-    mine_k5_instances,
     parity_sweep,
     round_robin_one_factorization,
     run_suite,
@@ -22,7 +25,8 @@ from kempe.harness import (
     verify_theorem2_entry,
     write_reports,
 )
-from kempe.iso import graphs_isomorphic
+from kempe.iso import enumerate_mask_graphs, graphs_isomorphic
+from kempe.report import merge_reports, passing, vacuous
 
 from oracles import (
     KNOWN_GRAPH_COUNTS,
@@ -42,6 +46,16 @@ def test_enumeration_counts_small():
 
 def test_enumeration_count_n6_vs_burnside():
     assert len(enumerate_graphs(6)) == burnside_unlabeled_count(6) == 156
+
+
+def test_enumeration_result_is_immutable():
+    for n in (0, 1, 4):
+        first = enumerate_mask_graphs(n)
+        assert isinstance(first, tuple)
+        with pytest.raises(AttributeError):
+            first.append((0,) * n)
+        assert enumerate_mask_graphs(n) == first
+    assert len(enumerate_mask_graphs(4)) == KNOWN_GRAPH_COUNTS[4]
 
 
 def test_enumeration_budget():
@@ -119,7 +133,7 @@ def test_critical_corpus_small_contents(critical_corpus_small):
 
 
 def test_lemma_sweep_small_corpus(critical_corpus_small):
-    reports = lemma_sweep(critical_corpus_small, seeds=2)
+    reports, _ = lemma_sweep(critical_corpus_small, seeds=2)
     assert all(rep.passed for rep in reports)
     by_name = {rep.check: rep for rep in reports}
     assert by_name["val"].fired
@@ -132,8 +146,51 @@ def test_parity_sweep():
     assert rep.passed and rep.fired
 
 
+def test_parity_sweep_reuses_corpus_pass(monkeypatch):
+    monkeypatch.setattr(harness, "_CRITICAL_CACHE", {})
+    calls = []
+    solve = harness.find_edge_coloring
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return solve(*args, **kwargs)
+
+    # the harness binds the solver by name, and so does the classifier
+    for module in (harness, sys.modules["kempe.classify"]):
+        monkeypatch.setattr(module, "find_edge_coloring", counting)
+    delta_critical_corpus(5)
+    assert calls
+    calls.clear()
+    rep = parity_sweep(5)
+    assert calls == []
+    assert rep.passed and rep.fired
+
+
 def test_mining_vacuous_on_small_corpus(critical_corpus_small):
-    assert mine_k5_instances(critical_corpus_small, seeds=2) == []
+    _, instances = lemma_sweep(critical_corpus_small, seeds=2)
+    assert instances == []
+
+
+def test_lemma_suite_solves_each_coloring_once(monkeypatch):
+    monkeypatch.setattr(harness, "_CRITICAL_CACHE", {})
+    seen = []
+    solve = harness.delta_coloring_of_minus_e
+
+    def recording(g, e, seed=0, **kwargs):
+        seen.append((g, tuple(sorted(e)), seed))
+        return solve(g, e, seed=seed, **kwargs)
+
+    monkeypatch.setattr(harness, "delta_coloring_of_minus_e", recording)
+    result = run_suite(SuiteConfig(suite="lemmas", n_max=6, seeds=2))
+    assert result.exit_code == 0
+    assert seen
+    assert len(seen) == len(set(seen))
+
+
+def test_merge_reports_folds_lazily():
+    assert merge_reports(iter(()), "parity") == vacuous("parity")
+    merged = merge_reports((passing("x", colors=c) for c in (2, 3)), "x")
+    assert merged.hypothesis_met == 2 and merged.details == {"colors": 5}
 
 
 def test_run_suite_lemmas_small(tmp_path: Path):
@@ -157,3 +214,19 @@ def test_report_determinism(tmp_path: Path):
     assert files_a == files_b
     for name in files_a:
         assert (a / name).read_bytes() == (b / name).read_bytes()
+
+
+# sha256 over the sorted file names and contents of the report directory
+# of SuiteConfig(suite="default", n_max=6, seeds=2), recorded before the
+# suite was restructured into one solve per coloring.
+SMALL_DEFAULT_DIGEST = "6c5cd1cf5d248c5e00b2ce28ebb08f2cb40cce37c2ac62498a3fac095cf190d0"
+
+
+def test_small_default_reports_are_pinned(tmp_path: Path):
+    out = tmp_path / "r"
+    result = run_suite(SuiteConfig(suite="default", n_max=6, seeds=2, out_dir=str(out)))
+    assert result.exit_code == 0
+    h = hashlib.sha256()
+    for path in sorted(out.iterdir()):
+        h.update(path.name.encode() + b"\0" + path.read_bytes() + b"\0")
+    assert h.hexdigest() == SMALL_DEFAULT_DIGEST
