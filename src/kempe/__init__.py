@@ -28,7 +28,6 @@ from .coloring import (
 from .classify import (
     BudgetExceededError,
     GraphClass,
-    classify,
     delta_coloring_of_minus_e,
     exact_chromatic_index,
     find_edge_coloring,
@@ -62,7 +61,6 @@ __all__ = [
     "parse_coloring",
     "BudgetExceededError",
     "GraphClass",
-    "classify",
     "delta_coloring_of_minus_e",
     "exact_chromatic_index",
     "find_edge_coloring",

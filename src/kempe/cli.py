@@ -34,7 +34,7 @@ from .graph import (
     split_vertex,
     to_graph6,
 )
-from .harness import SuiteConfig, enumerate_graphs, run_suite
+from .harness import SUITES, SuiteConfig, enumerate_graphs, run_suite
 from .structures import find_kierstead_paths, find_structure_witnesses, grow_multifan
 
 
@@ -284,7 +284,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument(
         "--suite",
         default="default",
-        choices=["default", "theorem1", "theorem2", "lemmas"],
+        choices=SUITES,
     )
     p.add_argument("--n-max", type=int, default=8, dest="n_max")
     p.add_argument("--seeds", type=int, default=8)

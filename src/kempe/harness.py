@@ -488,6 +488,9 @@ def verify_normalization(instances: list[K5Instance]) -> VerificationReport:
 # ---------------------------------------------------------------------------
 
 
+SUITES = ("default", "theorem1", "theorem2", "lemmas")
+
+
 @dataclass
 class SuiteConfig:
     suite: str = "default"
@@ -530,7 +533,17 @@ class SuiteResult:
 
 def run_suite(config: SuiteConfig) -> SuiteResult:
     """Execute the requested verification suite and optionally write one
-    JSON document per check plus a summary, deterministically."""
+    JSON document per check plus a summary, deterministically. A config
+    that would make every check vacuous is a `ValueError`, raised before
+    any work."""
+    if config.suite not in SUITES:
+        raise ValueError(
+            f"unknown suite {config.suite!r} (expected one of {', '.join(SUITES)})"
+        )
+    if config.n_max < 1:
+        raise ValueError(f"n_max must be at least 1, got {config.n_max}")
+    if config.seeds < 1:
+        raise ValueError(f"seeds must be at least 1, got {config.seeds}")
     reports: list[VerificationReport] = []
     corpus = delta_critical_corpus(config.n_max)
 

@@ -1,129 +1,111 @@
-"""Isomorphism utilities for small graphs: refinement certificates and an
-exact backtracking test. Adequate for the desk-scale enumeration (n <= 8);
-makes no attempt at large-graph performance.
+"""Isomorphism for small graphs by canonical form.
+
+`certificate` is a complete invariant: the least relabelled adjacency-mask
+tuple over the leaves of an individualise-refine search (McKay & Piperno,
+*Practical graph isomorphism II*, 2014), with the search pruned by the
+automorphisms its leaves reveal. Two graphs are isomorphic exactly when
+their certificates are equal, and enumeration up to isomorphism keeps a set
+of them. Adequate for the desk-scale enumeration (n <= 8); makes no attempt
+at large-graph performance.
 """
 
 from __future__ import annotations
+
+from functools import lru_cache
 
 from .graph import Graph
 
 Masks = tuple[int, ...]
 
 
-def _neighbors_of(masks: Masks, v: int) -> list[int]:
+@lru_cache(maxsize=1 << 12)
+def _bits(mask: int) -> tuple[int, ...]:
+    """The positions of the set bits of `mask`: a vertex's neighbors."""
     out = []
-    m = masks[v]
-    while m:
-        bit = m & -m
+    while mask:
+        bit = mask & -mask
         out.append(bit.bit_length() - 1)
-        m ^= bit
-    return out
+        mask ^= bit
+    return tuple(out)
 
 
-def refinement_colors(masks: Masks) -> list[int]:
-    """Stable vertex colors under iterated neighborhood-multiset
-    refinement, canonically numbered (isomorphism-invariant)."""
+def refinement_colors(masks: Masks, colors: list[int] | None = None) -> list[int]:
+    """Iterated refinement of the non-negative `colors` (by default the
+    degrees) by the multiset of neighbor colors, to a stable coloring
+    numbered 0..k-1 in the order of the input colors. Relabelling the graph
+    and the input coloring together relabels the output the same way."""
     n = len(masks)
-    adj = [_neighbors_of(masks, v) for v in range(n)]
-    colors = [len(adj[v]) for v in range(n)]
+    adj = [_bits(m) for m in masks]
+    if colors is None:
+        colors = [len(a) for a in adj]
+    # a neighbor of color c adds 1 << (c * width); every count is below
+    # n < 1 << width, so the sum encodes the multiset of neighbor colors
+    width = n.bit_length()
     classes = len(set(colors))
-    for _ in range(n):
-        sigs = [
-            (colors[v], tuple(sorted(colors[u] for u in adj[v])))
-            for v in range(n)
-        ]
+    while True:
+        weight = [1 << c * width for c in colors]
+        sigs = [(colors[v], sum([weight[u] for u in adj[v]])) for v in range(n)]
         relabel = {s: i for i, s in enumerate(sorted(set(sigs)))}
         colors = [relabel[s] for s in sigs]
-        new_classes = len(set(colors))
-        if new_classes == classes:
-            break
-        classes = new_classes
-    return colors
+        if len(relabel) == classes:
+            return colors
+        classes = len(relabel)
 
 
-def certificate(masks: Masks) -> tuple:
-    """A cheap isomorphism-invariant key: vertex colors plus the multiset
-    of endpoint-color pairs over edges. Equal for isomorphic graphs; used
-    to bucket candidates before exact testing."""
+def _orbit(seeds: list[int], generators: list[list[int]]) -> set[int]:
+    orbit, stack = set(seeds), list(seeds)
+    while stack:
+        v = stack.pop()
+        for gamma in generators:
+            if gamma[v] not in orbit:
+                orbit.add(gamma[v])
+                stack.append(gamma[v])
+    return orbit
+
+
+def certificate(masks: Masks) -> Masks:
+    """The canonical form, a complete invariant: the least mask tuple got
+    by relabelling each vertex v to leaf[v], over the discrete colorings
+    `leaf` that refining and individualising each vertex of the first
+    non-singleton cell reach. Two leaves with one form give an
+    automorphism; a vertex in the orbit of an explored sibling under the
+    automorphisms fixing the individualised prefix is not explored."""
     n = len(masks)
-    colors = refinement_colors(masks)
-    edge_profile = sorted(
-        (min(colors[u], colors[v]), max(colors[u], colors[v]))
-        for u in range(n)
-        for v in _neighbors_of(masks, u)
-        if u < v
-    )
-    return (n, tuple(sorted(colors)), tuple(edge_profile))
+    best: Masks | None = None
+    best_leaf: list[int] = []
+    automorphisms: list[list[int]] = []
+
+    def search(colors: list[int] | None, prefix: list[int]) -> None:
+        nonlocal best, best_leaf
+        colors = refinement_colors(masks, colors)
+        if len(set(colors)) == n:
+            form = [0] * n
+            for v in range(n):
+                form[colors[v]] = sum([1 << colors[u] for u in _bits(masks[v])])
+            form = tuple(form)
+            if best is None or form < best:
+                best, best_leaf = form, colors
+            elif form == best:
+                vertex_at = {c: v for v, c in enumerate(best_leaf)}
+                automorphisms.append([vertex_at[c] for c in colors])
+            return
+        cell = min(c for c in colors if colors.count(c) > 1)
+        explored: list[int] = []
+        for v in range(n):
+            if colors[v] != cell:
+                continue
+            fixing = [g for g in automorphisms if all(g[p] == p for p in prefix)]
+            if v in _orbit(explored, fixing):
+                continue
+            explored.append(v)
+            search([2 * c + (u == v) for u, c in enumerate(colors)], prefix + [v])
+
+    search(None, [])
+    return best
 
 
 def masks_isomorphic(m1: Masks, m2: Masks) -> bool:
-    """Exact isomorphism by backtracking over refinement-compatible maps."""
-    n = len(m1)
-    if n != len(m2):
-        return False
-    if sorted(bin(x).count("1") for x in m1) != sorted(
-        bin(x).count("1") for x in m2
-    ):
-        return False
-    c1 = refinement_colors(m1)
-    c2 = refinement_colors(m2)
-    if sorted(c1) != sorted(c2):
-        return False
-
-    # order the first graph's vertices: rare colors first, then stay
-    # adjacent to the mapped prefix for early pruning
-    by_color: dict[int, list[int]] = {}
-    for v, c in enumerate(c2):
-        by_color.setdefault(c, []).append(v)
-    order: list[int] = []
-    placed = set()
-    while len(order) < n:
-        best = None
-        for v in range(n):
-            if v in placed:
-                continue
-            attached = bin(m1[v] & _to_mask(order)).count("1")
-            key = (-attached, len(by_color[c1[v]]), v)
-            if best is None or key < best[0]:
-                best = (key, v)
-        order.append(best[1])
-        placed.add(best[1])
-
-    mapping = [-1] * n
-    used = 0
-
-    def dfs(i: int) -> bool:
-        nonlocal used
-        if i == n:
-            return True
-        v = order[i]
-        want = c1[v]
-        for w in by_color[want]:
-            bit = 1 << w
-            if used & bit:
-                continue
-            ok = True
-            for x in order[:i]:
-                if bool(m1[v] >> x & 1) != bool(m2[w] >> mapping[x] & 1):
-                    ok = False
-                    break
-            if ok:
-                mapping[v] = w
-                used |= bit
-                if dfs(i + 1):
-                    return True
-                used &= ~bit
-                mapping[v] = -1
-        return False
-
-    return dfs(0)
-
-
-def _to_mask(vertices: list[int]) -> int:
-    m = 0
-    for v in vertices:
-        m |= 1 << v
-    return m
+    return certificate(m1) == certificate(m2)
 
 
 def graphs_isomorphic(g1: Graph, g2: Graph) -> bool:
@@ -136,7 +118,7 @@ _ENUM_CACHE: dict[int, tuple[Masks, ...]] = {}
 def enumerate_mask_graphs(n: int) -> tuple[Masks, ...]:
     """All simple graphs on n vertices up to isomorphism, as adjacency-mask
     tuples, by augmenting the (n-1)-vertex list with one new vertex per
-    neighbor subset and deduplicating within certificate buckets. The
+    neighbor subset and keeping each child whose certificate is new. The
     result is an immutable tuple, so callers cannot alter the cache."""
     if n < 0:
         raise ValueError("n must be non-negative")
@@ -147,7 +129,7 @@ def enumerate_mask_graphs(n: int) -> tuple[Masks, ...]:
     if n == 1:
         return ((0,),)
     out: list[Masks] = []
-    buckets: dict[tuple, list[Masks]] = {}
+    seen: set[Masks] = set()
     new = n - 1
     for parent in enumerate_mask_graphs(n - 1):
         for subset in range(1 << new):
@@ -156,9 +138,8 @@ def enumerate_mask_graphs(n: int) -> tuple[Masks, ...]:
                 for v in range(new)
             ) + (subset,)
             key = certificate(child)
-            bucket = buckets.setdefault(key, [])
-            if not any(masks_isomorphic(child, seen) for seen in bucket):
-                bucket.append(child)
+            if key not in seen:
+                seen.add(key)
                 out.append(child)
     _ENUM_CACHE[n] = tuple(out)
     return _ENUM_CACHE[n]

@@ -3,6 +3,7 @@ PASS/FAIL line and enforcing its stated runtime budget."""
 
 from __future__ import annotations
 
+import hashlib
 import random
 import time
 from pathlib import Path
@@ -35,7 +36,7 @@ from kempe.harness import (
     verify_theorem2,
     write_reports,
 )
-from kempe.iso import graphs_isomorphic
+from kempe.iso import enumerate_mask_graphs, graphs_isomorphic
 from kempe.normalize import ProperColoring, normalize_k5
 
 from oracles import (
@@ -65,9 +66,16 @@ def report(criterion: str, ok: bool, info: str) -> None:
     assert ok, f"{criterion}: {info}"
 
 
+# sha256 of repr(enumerate_mask_graphs(8)): pins the representatives and
+# their order, which the counts below do not.
+ENUMERATION_8_DIGEST = "85ce0d94b7e153359d2846366c0e47d798f90bec98ae692f2ca08239766d2289"
+
+
 def test_criterion_1_enumeration_oracle():
     start = time.time()
     counts = {n: len(enumerate_graphs(n)) for n in range(3, 9)}
+    digest = hashlib.sha256(repr(enumerate_mask_graphs(8)).encode()).hexdigest()
+    assert digest == ENUMERATION_8_DIGEST
     for n in range(3, 9):
         assert counts[n] == KNOWN_GRAPH_COUNTS[n]
         assert counts[n] == burnside_unlabeled_count(n)

@@ -3,6 +3,8 @@ from __future__ import annotations
 import json
 from pathlib import Path
 
+import pytest
+
 from kempe.cli import main
 from kempe.coloring import parse_coloring
 from kempe.graph import builtin_fixture, from_graph6, to_graph6
@@ -109,6 +111,31 @@ def test_verify_small_suite(capsys, tmp_path: Path):
     assert code == 0
     assert "ALL CHECKS PASSED" in out
     assert (tmp_path / "reports" / "summary.txt").exists()
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["--seeds", "0"], "seeds must be at least 1, got 0"),
+        (["--n-max", "0"], "n_max must be at least 1, got 0"),
+        (["--n-max", "-3"], "n_max must be at least 1, got -3"),
+    ],
+)
+def test_vacuous_verify_is_usage_error(capsys, tmp_path: Path, argv, message):
+    out = tmp_path / "reports"
+    code = main(["verify", *argv, "--out", str(out)])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert "ALL CHECKS PASSED" not in captured.out
+    assert message in captured.err
+    assert not out.exists()
+
+
+def test_unknown_suite_is_usage_error(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["verify", "--suite", "everything"])
+    assert exc.value.code == 2
+    assert "invalid choice: 'everything'" in capsys.readouterr().err
 
 
 def test_budget_exhaustion_exit_code(capsys, monkeypatch):

@@ -2,11 +2,13 @@ from __future__ import annotations
 
 import hashlib
 import json
-import sys
+import types
 from pathlib import Path
 
 import pytest
 
+import kempe
+import kempe.classify as classifier
 import kempe.harness as harness
 from kempe.classify import GraphClass, classify
 from kempe.graph import builtin_fixture, complete_graph, cycle_graph
@@ -156,7 +158,7 @@ def test_parity_sweep_reuses_corpus_pass(monkeypatch):
         return solve(*args, **kwargs)
 
     # the harness binds the solver by name, and so does the classifier
-    for module in (harness, sys.modules["kempe.classify"]):
+    for module in (harness, classifier):
         monkeypatch.setattr(module, "find_edge_coloring", counting)
     delta_critical_corpus(5)
     assert calls
@@ -191,6 +193,31 @@ def test_merge_reports_folds_lazily():
     assert merge_reports(iter(()), "parity") == vacuous("parity")
     merged = merge_reports((passing("x", colors=c) for c in (2, 3)), "x")
     assert merged.hypothesis_met == 2 and merged.details == {"colors": 5}
+
+
+def test_classify_attribute_is_the_submodule():
+    assert isinstance(kempe.classify, types.ModuleType)
+    assert isinstance(classifier, types.ModuleType)
+    assert classifier.classify is classify
+    assert "classify" not in kempe.__all__
+
+
+@pytest.mark.parametrize(
+    "config, message",
+    [
+        (SuiteConfig(suite="everything"), "unknown suite 'everything'"),
+        (SuiteConfig(n_max=0), "n_max must be at least 1"),
+        (SuiteConfig(n_max=-3), "n_max must be at least 1"),
+        (SuiteConfig(seeds=0), "seeds must be at least 1"),
+    ],
+)
+def test_run_suite_rejects_vacuous_configs(monkeypatch, config, message):
+    def no_work(*args, **kwargs):
+        raise AssertionError("run_suite did work before validating its config")
+
+    monkeypatch.setattr(harness, "delta_critical_corpus", no_work)
+    with pytest.raises(ValueError, match=message):
+        run_suite(config)
 
 
 def test_run_suite_lemmas_small(tmp_path: Path):
