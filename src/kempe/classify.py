@@ -132,7 +132,9 @@ def find_edge_coloring(
     DFS over edges with most-constrained-edge selection, per-vertex
     free-color counting, and first-use color symmetry breaking. A seed
     permutes vertex labels to diversify which coloring is found; the
-    search itself stays deterministic for a fixed seed.
+    search itself stays deterministic for a fixed seed. Raises
+    BudgetExceededError when the search needs more than node_budget
+    nodes.
     """
     if k < 0:
         raise ValueError("color count must be non-negative")
@@ -144,14 +146,10 @@ def find_edge_coloring(
     if g.edge_count() > k * (g.n // 2):
         return None
 
-    if seed is None:
-        perm = list(range(g.n))
-    else:
-        perm = list(range(g.n))
+    perm = list(range(g.n))
+    if seed is not None:
         random.Random(seed).shuffle(perm)
-    work = g.relabeled(perm)
-
-    assignment = _search(work, k, node_budget)
+    assignment = _search(g.relabeled(perm), k, node_budget)
     if assignment is None:
         return None
     col = PartialEdgeColoring(g, k)
@@ -181,78 +179,59 @@ def _degeneracy_rank(g: Graph) -> list[int]:
 
 
 def _search(g: Graph, k: int, node_budget: int) -> dict[Edge, int] | None:
-    full = (1 << k) - 1
     edges = g.edges()
     rank = _degeneracy_rank(g)
     # color edges among late-surviving (dense) vertices first
     edges.sort(key=lambda e: (-(rank[e[0]] + rank[e[1]]), e))
-    m = len(edges)
-
-    free = [full] * g.n
+    free = [(1 << k) - 1] * g.n
     uncolored_deg = list(g.degrees())
     colors: dict[Edge, int] = {}
     nodes = 0
 
-    def popcount(x: int) -> int:
-        return bin(x).count("1")
-
-    def choose() -> tuple[Edge, int] | None:
-        """Most constrained uncolored edge and its option mask."""
-        best = None
-        best_count = k + 1
-        limit = (1 << min(_max_used[0] + 1, k)) - 1
-        for e in edges:
-            if e in colors:
-                continue
-            opts = free[e[0]] & free[e[1]] & limit
-            cnt = popcount(opts)
-            if cnt < best_count:
-                best, best_count = (e, opts), cnt
-                if cnt == 0:
-                    break
-        return best
-
-    _max_used = [0]
-
-    def dfs() -> bool:
+    def dfs(used: int) -> bool:
+        """Extend the coloring; `used` is the highest color placed so far."""
         nonlocal nodes
         nodes += 1
         if nodes > node_budget:
             raise BudgetExceededError(nodes, dict(colors))
-        if len(colors) == m:
+        # the unused colors are interchangeable: offer only the first of them
+        limit = (1 << min(used + 1, k)) - 1
+        best, best_opts, best_count = None, 0, k + 1
+        for e in edges:
+            if e in colors:
+                continue
+            opts = free[e[0]] & free[e[1]] & limit
+            count = opts.bit_count()
+            if count == 0:
+                return False
+            if count < best_count:
+                best, best_opts, best_count = e, opts, count
+        if best is None:
             return True
-        pick = choose()
-        if pick is None:
-            return True
-        (u, v), opts = pick
-        if opts == 0:
-            return False
-        saved_max = _max_used[0]
-        mask = opts
-        while mask:
-            bit = mask & -mask
-            mask ^= bit
+        u, v = best
+        while best_opts:
+            bit = best_opts & -best_opts
+            best_opts ^= bit
             c = bit.bit_length()
-            colors[(u, v)] = c
+            colors[best] = c
             free[u] &= ~bit
             free[v] &= ~bit
             uncolored_deg[u] -= 1
             uncolored_deg[v] -= 1
-            _max_used[0] = max(saved_max, c)
-            ok = popcount(free[u]) >= uncolored_deg[u] and popcount(
-                free[v]
-            ) >= uncolored_deg[v]
-            if ok and dfs():
+            if (
+                free[u].bit_count() >= uncolored_deg[u]
+                and free[v].bit_count() >= uncolored_deg[v]
+                and dfs(max(used, c))
+            ):
                 return True
-            del colors[(u, v)]
+            del colors[best]
             free[u] |= bit
             free[v] |= bit
             uncolored_deg[u] += 1
             uncolored_deg[v] += 1
-            _max_used[0] = saved_max
         return False
 
-    return dict(colors) if dfs() else None
+    return dict(colors) if dfs(0) else None
 
 
 # ---------------------------------------------------------------------------
@@ -260,60 +239,51 @@ def _search(g: Graph, k: int, node_budget: int) -> dict[Edge, int] | None:
 # ---------------------------------------------------------------------------
 
 
-def exact_chromatic_index(
-    g: Graph, seed: int | None = None, node_budget: int = DEFAULT_NODE_BUDGET
-) -> int:
+def exact_chromatic_index(g: Graph) -> int:
     """Delta if a Delta-coloring exists, else Delta + 1."""
     if g.edge_count() == 0:
         return 0
     delta = g.max_degree()
-    col = find_edge_coloring(g, delta, seed=seed, node_budget=node_budget)
-    return delta if col is not None else delta + 1
+    return delta if find_edge_coloring(g, delta) is not None else delta + 1
 
 
-def classify(g: Graph, node_budget: int = DEFAULT_NODE_BUDGET) -> GraphClass:
+def classify(g: Graph) -> GraphClass:
     if g.edge_count() == 0:
         return GraphClass.CLASS1
-    chi = exact_chromatic_index(g, node_budget=node_budget)
+    chi = exact_chromatic_index(g)
     return GraphClass.CLASS1 if chi == g.max_degree() else GraphClass.CLASS2
 
 
-def is_critical_edge(
-    g: Graph, e: tuple[int, int], node_budget: int = DEFAULT_NODE_BUDGET
-) -> bool:
+def is_critical_edge(g: Graph, e: tuple[int, int]) -> bool:
     """Does deleting e drop the chromatic index below Delta + 1?
 
     Only meaningful on Class 2 graphs; calling it on a Class 1 graph is a
     precondition error."""
     e = edge_key(*e)
-    if classify(g, node_budget) is GraphClass.CLASS1:
+    if classify(g) is GraphClass.CLASS1:
         raise ValueError("criticality is defined for Class 2 graphs only")
+    return find_edge_coloring(g.without_edge(e), g.max_degree()) is not None
+
+
+def all_edges_critical(g: Graph) -> bool:
+    """For a Class 2 graph g: is every edge critical, that is, is g - e
+    Delta(g)-colorable for each edge e? The caller supplies the Class 2
+    fact."""
     delta = g.max_degree()
-    return (
-        find_edge_coloring(g.without_edge(e), delta, node_budget=node_budget)
-        is not None
+    return all(
+        find_edge_coloring(g.without_edge(e), delta) is not None for e in g.edges()
     )
 
 
-def is_delta_critical(g: Graph, node_budget: int = DEFAULT_NODE_BUDGET) -> bool:
+def is_delta_critical(g: Graph) -> bool:
     """Connected, Class 2, and every edge critical."""
     if g.n == 0 or g.edge_count() == 0 or not g.is_connected():
         return False
-    if classify(g, node_budget) is not GraphClass.CLASS2:
-        return False
-    delta = g.max_degree()
-    return all(
-        find_edge_coloring(g.without_edge(e), delta, node_budget=node_budget)
-        is not None
-        for e in g.edges()
-    )
+    return classify(g) is GraphClass.CLASS2 and all_edges_critical(g)
 
 
 def delta_coloring_of_minus_e(
-    g: Graph,
-    e: tuple[int, int],
-    seed: int | None = 0,
-    node_budget: int = DEFAULT_NODE_BUDGET,
+    g: Graph, e: tuple[int, int], seed: int | None = 0
 ) -> PartialEdgeColoring:
     """A proper Delta(g)-coloring of g with exactly e uncolored.
 
@@ -321,9 +291,7 @@ def delta_coloring_of_minus_e(
     exists (the edge is not critical, or the graph is not Class 2)."""
     e = edge_key(*e)
     delta = g.max_degree()
-    base = find_edge_coloring(
-        g.without_edge(e), delta, seed=seed, node_budget=node_budget
-    )
+    base = find_edge_coloring(g.without_edge(e), delta, seed=seed)
     if base is None:
         raise ValueError(
             f"no {delta}-coloring of the graph minus {e}: edge is not critical"

@@ -88,9 +88,6 @@ class PartialEdgeColoring:
     def is_full(self) -> bool:
         return len(self._assign) == self.graph.edge_count()
 
-    def present_mask(self, v: int) -> int:
-        return self._present[v]
-
     def present(self, v: int) -> set[int]:
         return _mask_to_colors(self._present[v])
 
@@ -103,12 +100,6 @@ class PartialEdgeColoring:
 
     def is_missing(self, v: int, c: int) -> bool:
         return not self._present[v] >> (c - 1) & 1
-
-    def missing_union(self, vertices: Iterable[int]) -> set[int]:
-        mask = 0
-        for v in vertices:
-            mask |= self.missing_mask(v)
-        return _mask_to_colors(mask)
 
     def is_elementary(self, vertices: Iterable[int]) -> bool:
         """True iff the missing sets of the given vertices are pairwise

@@ -9,7 +9,7 @@ from __future__ import annotations
 import math
 from collections import Counter, deque
 from dataclasses import dataclass
-from typing import Iterable, Iterator
+from typing import Iterable
 
 Edge = tuple[int, int]
 
@@ -87,10 +87,6 @@ class Graph:
         if not self.has_edge(u, v):
             raise ValueError(f"edge ({u},{v}) not in graph")
         return Graph(self.n, [f for f in self.edges() if f != (u, v)])
-
-    def with_edge(self, e: tuple[int, int]) -> "Graph":
-        u, v = edge_key(*e)
-        return Graph(self.n, self.edges() + [(u, v)])
 
     def relabeled(self, perm: list[int] | tuple[int, ...]) -> "Graph":
         """Return the graph with vertex v renamed to perm[v]."""
@@ -296,14 +292,6 @@ def from_graph6(text: str) -> Graph:
     return Graph(n, edges)
 
 
-def read_graph6_lines(lines: Iterable[str]) -> Iterator[Graph]:
-    """Parse a stream of graph6 lines, skipping blanks."""
-    for line in lines:
-        line = line.strip()
-        if line:
-            yield from_graph6(line)
-
-
 # ---------------------------------------------------------------------------
 # Degree-based queries and constructions
 # ---------------------------------------------------------------------------
@@ -345,16 +333,9 @@ def identify_pair(g: Graph, a: int, b: int) -> Multigraph:
     """
     if not g.has_edge(a, b):
         raise ValueError(f"vertices {a} and {b} are not adjacent")
-    lo, hi = min(a, b), max(a, b)
-
-    def remap(v: int) -> int:
-        if v == hi:
-            return lo
-        return v - 1 if v > hi else v
-
-    edges = [
-        (remap(u), remap(v)) for u, v in g.edges() if (u, v) != (lo, hi)
-    ]
+    vmap = identification_map(g, a, b)
+    ab = edge_key(a, b)
+    edges = [(vmap[u], vmap[v]) for u, v in g.edges() if (u, v) != ab]
     return Multigraph(g.n - 1, edges)
 
 
@@ -409,10 +390,6 @@ def cycle_graph(n: int) -> Graph:
     if n < 3:
         raise ValueError("cycle needs at least 3 vertices")
     return Graph(n, [(i, (i + 1) % n) for i in range(n)])
-
-
-def path_graph(n: int) -> Graph:
-    return Graph(n, [(i, i + 1) for i in range(n - 1)])
 
 
 def star_graph(m: int) -> Graph:

@@ -15,6 +15,7 @@ from pathlib import Path
 
 from .classify import (
     GraphClass,
+    all_edges_critical,
     classify,
     delta_coloring_of_minus_e,
     find_edge_coloring,
@@ -108,8 +109,8 @@ _CRITICAL_CACHE: dict[int, tuple[list[Graph], VerificationReport]] = {}
 
 def _corpus_pass(n_max: int) -> tuple[list[Graph], VerificationReport]:
     """Solve each enumerated graph with edges once: a Delta-coloring goes
-    to the parity check, a refuted connected graph to the criticality
-    test."""
+    to the parity check; a refuted graph is Class 2, so a connected one
+    only needs its edges tested for criticality."""
     if n_max not in _CRITICAL_CACHE:
         critical: list[Graph] = []
 
@@ -121,7 +122,7 @@ def _corpus_pass(n_max: int) -> tuple[list[Graph], VerificationReport]:
                 col = find_edge_coloring(g, g.max_degree())
                 if col is not None:
                     yield check_parity(col)
-                elif g.is_connected() and is_delta_critical(g):
+                elif g.is_connected() and all_edges_critical(g):
                     critical.append(g)
 
         parity = merge_reports(parity_reports(), "parity")
@@ -281,7 +282,7 @@ def _merged_coloring_is_proper(
     return True
 
 
-def verify_theorem2_entry(g: Graph, seed: int = 0) -> VerificationReport:
+def verify_theorem2_entry(g: Graph) -> VerificationReport:
     """One Delta-critical graph: with a full-deficiency pair and
     Delta >= 3(n-1)/4 it must be overfull, and identifying the pair must
     turn a coloring of G minus the pair edge into a proper Delta-coloring
@@ -298,7 +299,7 @@ def verify_theorem2_entry(g: Graph, seed: int = 0) -> VerificationReport:
     if not is_overfull(g):
         return fail(clause="overfull")
     for a, b in pairs:
-        col = delta_coloring_of_minus_e(g, (a, b), seed=seed)
+        col = delta_coloring_of_minus_e(g, (a, b))
         mg = identify_pair(g, a, b)
         vmap = identification_map(g, a, b)
         colored = [
@@ -311,9 +312,9 @@ def verify_theorem2_entry(g: Graph, seed: int = 0) -> VerificationReport:
     return passing(check, pairs=len(pairs))
 
 
-def verify_theorem2(corpus: Corpus, seed: int = 0) -> VerificationReport:
+def verify_theorem2(corpus: Corpus) -> VerificationReport:
     return merge_reports(
-        (verify_theorem2_entry(e.graph, seed) for e in corpus),
+        (verify_theorem2_entry(e.graph) for e in corpus),
         "theorem-full-deficiency-overfull",
     )
 
@@ -545,18 +546,19 @@ def run_suite(config: SuiteConfig) -> SuiteResult:
     if config.seeds < 1:
         raise ValueError(f"seeds must be at least 1, got {config.seeds}")
     reports: list[VerificationReport] = []
-    corpus = delta_critical_corpus(config.n_max)
-
     if config.suite in ("default", "theorem1"):
         for n in (4, 6):
             rep = verify_theorem1(complete_graph(n))
             rep.check = f"theorem-vertex-splitting-K{n}"
             reports.append(rep)
     if config.suite in ("default", "theorem2"):
+        corpus = delta_critical_corpus(config.n_max)
         reports.append(verify_theorem2(corpus))
         reports.append(verify_corollary(corpus))
     if config.suite in ("default", "lemmas"):
-        sweep, k5_instances = lemma_sweep(corpus, config.seeds)
+        sweep, k5_instances = lemma_sweep(
+            delta_critical_corpus(config.n_max), config.seeds
+        )
         reports.extend(sweep)
         reports.append(parity_sweep(config.n_max))
         reports.append(verify_normalization(k5_instances))

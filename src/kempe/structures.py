@@ -749,8 +749,11 @@ def check_parity(col: PartialEdgeColoring) -> VerificationReport:
 
 
 def check_fulldpair_lemma(g: Graph, a: int, b: int) -> VerificationReport:
-    """Degree structure around a full-deficiency pair (a, b) with a
-    critical edge ab in a Class 2 graph:
+    """Degree structure around a full-deficiency pair (a, b) of a Class 2
+    graph in which the edge ab is critical. The caller supplies those two
+    facts, as the lemma sweep does with the Delta-critical corpus; this
+    check tests only that ab is an edge with d(a) + d(b) = Delta + 2, and
+    makes no solver call. Then:
 
     (i)   every other neighbor of a or b has full degree;
     (ii)  vertices at distance 2 from {a, b} have degree >= Delta - 1
@@ -760,17 +763,9 @@ def check_fulldpair_lemma(g: Graph, a: int, b: int) -> VerificationReport:
     and, when Delta >= 3(n-1)/4, at most one vertex outside the pair has
     degree Delta - 1.
     """
-    from .classify import GraphClass, classify, find_edge_coloring
-
     check = "full-deficiency-pair"
     delta = g.max_degree()
-    hyp_ok = (
-        g.has_edge(a, b)
-        and g.degree(a) + g.degree(b) == delta + 2
-        and classify(g) is GraphClass.CLASS2
-        and find_edge_coloring(g.without_edge((a, b)), delta) is not None
-    )
-    if not hyp_ok:
+    if not (g.has_edge(a, b) and g.degree(a) + g.degree(b) == delta + 2):
         return vacuous(check, reason="hypothesis-unmet")
 
     def fail(clause: str, **info) -> VerificationReport:

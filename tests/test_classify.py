@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import hashlib
 import random
 
 import pytest
@@ -24,7 +25,14 @@ from kempe.graph import (
     star_graph,
 )
 from kempe.coloring import ColoringError, PartialEdgeColoring
+from kempe.harness import enumerate_graphs_upto
 from kempe.structures import check_parity
+
+# sha256 of the repr of find_edge_coloring(g, Delta, seed=s) over the
+# enumerated graphs with edges and n <= 6, s in (None, 0, 1): each result as
+# its sorted colour items, or None for a refutation. Any change to the search
+# order, the seeded relabelling or the symmetry breaking changes it.
+SOLVER_DIGEST = "d1aaf6c15f9c49a7b5a11b12b7c7fbe0e1e002aa6851b75275b0764fc3e6e405"
 
 
 def test_exact_chromatic_index_fixtures(k4, k6, pstar, c5):
@@ -81,8 +89,6 @@ def test_vizing_bound_never_beaten_small():
     """The fan coloring can never use fewer colors than the exact index
     allows: verify chi' <= Delta+1 and exact <= vizing on the n <= 6
     enumeration."""
-    from kempe.harness import enumerate_graphs_upto
-
     for entry in enumerate_graphs_upto(6):
         g = entry.graph
         if g.edge_count() == 0 or g.n < 2:
@@ -172,6 +178,34 @@ def test_budget_error_carries_progress():
         find_edge_coloring(g, 3, node_budget=3)
     assert exc.value.nodes > 3 - 1
     assert isinstance(exc.value.partial, dict)
+
+
+def test_solver_output_is_pinned():
+    results = []
+    for entry in enumerate_graphs_upto(6):
+        g = entry.graph
+        if not g.edge_count():
+            continue
+        for seed in (None, 0, 1):
+            col = find_edge_coloring(g, g.max_degree(), seed=seed)
+            results.append(None if col is None else sorted(col.colored_edges().items()))
+    assert len(results) == 606
+    assert hashlib.sha256(repr(results).encode()).hexdigest() == SOLVER_DIGEST
+
+
+@pytest.mark.parametrize(
+    "name, nodes, colorable",
+    [("pstar", 29, False), ("petersen", 30, False), ("k6", 16, True), ("cube", 13, True)],
+)
+def test_full_search_node_counts(name, nodes, colorable):
+    """The whole DFS takes exactly `nodes` nodes: that budget suffices and
+    one less is exhausted on the last node."""
+    g = builtin_fixture(name)
+    col = find_edge_coloring(g, g.max_degree(), node_budget=nodes)
+    assert (col is not None) is colorable
+    with pytest.raises(BudgetExceededError) as exc:
+        find_edge_coloring(g, g.max_degree(), node_budget=nodes - 1)
+    assert exc.value.nodes == nodes
 
 
 def test_full_colorings_satisfy_parity():

@@ -139,11 +139,13 @@ def test_unknown_suite_is_usage_error(capsys):
 
 
 def test_budget_exhaustion_exit_code(capsys, monkeypatch):
-    import kempe.cli
+    import kempe.classify
 
-    exact = kempe.cli.exact_chromatic_index
+    solve = kempe.classify.find_edge_coloring
     monkeypatch.setattr(
-        kempe.cli, "exact_chromatic_index", lambda g: exact(g, node_budget=1)
+        kempe.classify,
+        "find_edge_coloring",
+        lambda g, k, seed=None: solve(g, k, seed=seed, node_budget=1),
     )
     code = main(["classify", "pstar"])
     captured = capsys.readouterr()

@@ -154,14 +154,18 @@ def test_parity_sweep_reuses_corpus_pass(monkeypatch):
     solve = harness.find_edge_coloring
 
     def counting(*args, **kwargs):
-        calls.append(args)
-        return solve(*args, **kwargs)
+        col = solve(*args, **kwargs)
+        calls.append((args, col is None))
+        return col
 
     # the harness binds the solver by name, and so does the classifier
     for module in (harness, classifier):
         monkeypatch.setattr(module, "find_edge_coloring", counting)
     delta_critical_corpus(5)
     assert calls
+    # a refuted graph is not solved again to learn that it is Class 2
+    for (args, refuted), (next_args, _) in zip(calls, calls[1:]):
+        assert not (refuted and next_args == args)
     calls.clear()
     rep = parity_sweep(5)
     assert calls == []
@@ -218,6 +222,19 @@ def test_run_suite_rejects_vacuous_configs(monkeypatch, config, message):
     monkeypatch.setattr(harness, "delta_critical_corpus", no_work)
     with pytest.raises(ValueError, match=message):
         run_suite(config)
+
+
+def test_theorem1_suite_builds_no_corpus(monkeypatch):
+    def no_corpus(*args, **kwargs):
+        raise AssertionError("the theorem1 suite does not read the corpus")
+
+    monkeypatch.setattr(harness, "delta_critical_corpus", no_corpus)
+    result = run_suite(SuiteConfig(suite="theorem1"))
+    assert result.exit_code == 0
+    assert [r.check for r in result.reports] == [
+        "theorem-vertex-splitting-K4",
+        "theorem-vertex-splitting-K6",
+    ]
 
 
 def test_run_suite_lemmas_small(tmp_path: Path):

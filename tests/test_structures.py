@@ -1,10 +1,14 @@
 from __future__ import annotations
 
+import ast
 import random
 from itertools import permutations
+from pathlib import Path
 
 import pytest
 
+import kempe.classify
+import kempe.structures
 from kempe.classify import delta_coloring_of_minus_e, find_edge_coloring
 from kempe.coloring import PartialEdgeColoring
 from kempe.graph import Graph, builtin_fixture, cycle_graph, star_graph
@@ -544,6 +548,31 @@ def test_fulldpair_triangle_and_splitk4(triangle, splitk4):
         rep = check_fulldpair_lemma(splitk4, a, b)
         assert rep.passed and rep.fired
         assert rep.details.get("corollary_met") == 1
+
+
+def test_fulldpair_makes_no_solver_call(splitk4, monkeypatch):
+    def no_solver(*args, **kwargs):
+        raise AssertionError("the caller supplies the Class 2 and criticality facts")
+
+    monkeypatch.setattr(kempe.classify, "find_edge_coloring", no_solver)
+    rep = check_fulldpair_lemma(splitk4, 0, 1)
+    assert rep.passed and rep.fired
+
+
+def test_structures_imports_no_solver():
+    """The lemma checks take their hypotheses from the caller: no import
+    of the solver or the harness, function-local imports included."""
+    tree = ast.parse(Path(kempe.structures.__file__).read_text())
+    imported = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            imported.update(alias.name for alias in node.names)
+        elif isinstance(node, ast.ImportFrom):
+            base = "kempe" if node.level else ""
+            module = ".".join(p for p in (base, node.module) if p)
+            imported.add(module)
+            imported.update(f"{module}.{alias.name}" for alias in node.names)
+    assert not imported & {"kempe.classify", "kempe.harness"}
 
 
 def test_fulldpair_hypothesis_unmet(k4):
