@@ -12,6 +12,7 @@ from enum import Enum
 
 from .coloring import ColoringError, PartialEdgeColoring
 from .graph import Edge, Graph, edge_key
+from .iso import automorphisms, orbit_representatives
 
 
 class GraphClass(Enum):
@@ -268,10 +269,19 @@ def is_critical_edge(g: Graph, e: tuple[int, int]) -> bool:
 def all_edges_critical(g: Graph) -> bool:
     """For a Class 2 graph g: is every edge critical, that is, is g - e
     Delta(g)-colorable for each edge e? The caller supplies the Class 2
-    fact."""
+    fact. An automorphism taking e to f makes g - e and g - f isomorphic,
+    so only the first edge of each orbit under `iso.automorphisms`, in
+    `g.edges()` order, is solved."""
     delta = g.max_degree()
+    edges = g.edges()
+    index = {e: i for i, e in enumerate(edges)}
+    actions = [
+        tuple(index[edge_key(gamma[u], gamma[v])] for u, v in edges)
+        for gamma in automorphisms(g.adjacency_masks())
+    ]
     return all(
-        find_edge_coloring(g.without_edge(e), delta) is not None for e in g.edges()
+        find_edge_coloring(g.without_edge(edges[i]), delta) is not None
+        for i in orbit_representatives(len(edges), actions)
     )
 
 

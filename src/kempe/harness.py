@@ -34,7 +34,7 @@ from .graph import (
     split_vertex,
     to_graph6,
 )
-from .iso import enumerate_mask_graphs
+from .iso import automorphisms, enumerate_mask_graphs, orbit_representatives
 from .normalize import (
     HypothesisError,
     Normalized,
@@ -211,29 +211,37 @@ def class1_regular_family(kind: str, *params: int) -> Graph:
 # ---------------------------------------------------------------------------
 
 
+def _lesser_half(g: Graph, v: int, part: frozenset[int]) -> frozenset[int]:
+    """Of the two halves `part` and N(v) - part of a split of v, the one
+    with fewer vertices, or the lexicographically first on a tie."""
+    rest = g.neighbors(v) - part
+    return min(part, rest, key=lambda half: (len(half), sorted(half)))
+
+
 def _split_specs(g: Graph) -> list[SplitSpec]:
-    """All vertex splits up to obvious symmetry: the two split halves are
-    interchangeable, so only canonical-part subsets are kept; for complete
-    graphs (vertex-transitive, neighbors interchangeable) one vertex and
-    one subset per size suffice."""
-    n = g.n
-    complete = g.edge_count() == n * (n - 1) // 2
+    """All vertex splits up to symmetry: the two halves of a split are
+    interchangeable, so the part is the lesser half, and an automorphism
+    of g takes a split to an isomorphic one, so only the first spec of
+    each orbit under `iso.automorphisms`, in vertex-then-subset order, is
+    kept."""
     specs = []
-    if complete:
-        nbrs = sorted(g.neighbors(0))
-        t = len(nbrs)
-        for s in range(1, t // 2 + 1):
-            specs.append(SplitSpec(0, frozenset(nbrs[:s])))
-        return specs
-    for v in range(n):
+    for v in range(g.n):
         nbrs = sorted(g.neighbors(v))
         t = len(nbrs)
         for bits in range(1, (1 << t) - 1):
             part = frozenset(nbrs[i] for i in range(t) if bits >> i & 1)
-            rest = frozenset(nbrs) - part
-            if (len(part), sorted(part)) <= (len(rest), sorted(rest)):
+            if _lesser_half(g, v, part) == part:
                 specs.append(SplitSpec(v, part))
-    return specs
+    index = {spec: i for i, spec in enumerate(specs)}
+    actions = []
+    for gamma in automorphisms(g.adjacency_masks()):
+        image = []
+        for spec in specs:
+            v = gamma[spec.vertex]
+            part = frozenset(gamma[u] for u in spec.part_one)
+            image.append(index[SplitSpec(v, _lesser_half(g, v, part))])
+        actions.append(tuple(image))
+    return [specs[i] for i in orbit_representatives(len(specs), actions)]
 
 
 def verify_theorem1(g: Graph) -> VerificationReport:

@@ -5,10 +5,12 @@ import random
 
 import pytest
 
+import kempe.classify as classifier
 from kempe.classify import (
     BudgetExceededError,
     GraphClass,
     _color_one_edge,
+    all_edges_critical,
     classify,
     delta_coloring_of_minus_e,
     exact_chromatic_index,
@@ -139,6 +141,48 @@ def test_delta_critical(pstar, splitk4, k4):
     assert is_delta_critical(pstar)
     assert is_delta_critical(splitk4)
     assert not is_delta_critical(k4)
+
+
+def test_orbit_reduced_criticality_matches_every_edge():
+    """On every connected Class 2 graph with n <= 7, solving one edge per
+    automorphism orbit answers as solving every edge does."""
+    answers = []
+    for entry in enumerate_graphs_upto(7):
+        g = entry.graph
+        if not g.edge_count() or not g.is_connected():
+            continue
+        delta = g.max_degree()
+        if find_edge_coloring(g, delta) is not None:
+            continue
+        every_edge = all(
+            find_edge_coloring(g.without_edge(e), delta) is not None
+            for e in g.edges()
+        )
+        assert all_edges_critical(g) == every_edge, g.edges()
+        answers.append(every_edge)
+    assert True in answers and False in answers
+
+
+@pytest.mark.parametrize(
+    "g, critical",
+    [
+        # K5 - e is still overfull: 9 edges, 4 colours of at most 2 edges
+        (complete_graph(5), False),
+        # C7 - e is a path; without orbits all 7 edges would be solved
+        (cycle_graph(7), True),
+    ],
+)
+def test_edge_transitive_criticality_is_one_solve(monkeypatch, g, critical):
+    calls = []
+    solve = classifier.find_edge_coloring
+
+    def counting(h, k, *args, **kwargs):
+        calls.append(h.edges())
+        return solve(h, k, *args, **kwargs)
+
+    monkeypatch.setattr(classifier, "find_edge_coloring", counting)
+    assert all_edges_critical(g) is critical
+    assert calls == [g.without_edge(g.edges()[0]).edges()]
 
 
 def test_delta_coloring_of_minus_e_triangle(triangle):

@@ -15,6 +15,7 @@ from kempe.graph import builtin_fixture, complete_graph, cycle_graph
 from kempe.harness import (
     FamilyError,
     SuiteConfig,
+    _split_specs,
     class1_regular_family,
     delta_critical_corpus,
     enumerate_graphs,
@@ -27,7 +28,7 @@ from kempe.harness import (
     verify_theorem2_entry,
     write_reports,
 )
-from kempe.iso import enumerate_mask_graphs, graphs_isomorphic
+from kempe.iso import enumerate_mask_graphs, masks_isomorphic
 from kempe.report import merge_reports, passing, vacuous
 
 from oracles import (
@@ -66,10 +67,10 @@ def test_enumeration_budget():
 
 
 def test_enumeration_members_distinct(critical_corpus_small):
-    gs = [e.graph for e in enumerate_graphs(5)]
-    for i in range(len(gs)):
-        for j in range(i + 1, len(gs)):
-            assert not graphs_isomorphic(gs[i], gs[j])
+    masks = [e.graph.adjacency_masks() for e in enumerate_graphs(5)]
+    for i in range(len(masks)):
+        for j in range(i + 1, len(masks)):
+            assert not masks_isomorphic(masks[i], masks[j])
 
 
 def test_round_robin_one_factorization():
@@ -97,6 +98,23 @@ def test_class1_families():
 def test_theorem1_k4():
     rep = verify_theorem1(complete_graph(4))
     assert rep.passed and rep.fired
+
+
+# _split_specs of K4, K6, K8 and K10 before the specs were cut to one per
+# automorphism orbit: one vertex and one part per size, which the
+# theorem-vertex-splitting report counts
+COMPLETE_SPLITS = {
+    4: [(0, {1})],
+    6: [(0, {1}), (0, {1, 2})],
+    8: [(0, {1}), (0, {1, 2}), (0, {1, 2, 3})],
+    10: [(0, {1}), (0, {1, 2}), (0, {1, 2, 3}), (0, {1, 2, 3, 4})],
+}
+
+
+@pytest.mark.parametrize("n", sorted(COMPLETE_SPLITS))
+def test_complete_graph_split_specs(n):
+    specs = _split_specs(complete_graph(n))
+    assert [(s.vertex, set(s.part_one)) for s in specs] == COMPLETE_SPLITS[n]
 
 
 def test_theorem1_rejects_bad_inputs():
@@ -128,9 +146,9 @@ def test_corollary_entry(splitk4):
 
 def test_critical_corpus_small_contents(critical_corpus_small):
     gs = [e.graph for e in critical_corpus_small]
-    assert any(graphs_isomorphic(g, builtin_fixture("triangle")) for g in gs)
-    assert any(graphs_isomorphic(g, cycle_graph(5)) for g in gs)
-    assert any(graphs_isomorphic(g, builtin_fixture("splitk4")) for g in gs)
+    masks = [g.adjacency_masks() for g in gs]
+    for h in (builtin_fixture("triangle"), cycle_graph(5), builtin_fixture("splitk4")):
+        assert any(masks_isomorphic(m, h.adjacency_masks()) for m in masks)
     assert all(g.n % 2 == 1 for g in gs)  # no even-order critical graphs here
 
 

@@ -11,7 +11,13 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from kempe.graph import Graph
-from kempe.iso import certificate, enumerate_mask_graphs, graphs_isomorphic
+import kempe.iso as iso
+from kempe.iso import (
+    automorphisms,
+    certificate,
+    enumerate_mask_graphs,
+    masks_isomorphic,
+)
 
 
 def to_graph(G: nx.Graph) -> Graph:
@@ -90,13 +96,17 @@ def test_isomorphic_matches_networkx_on_degree_preserving_pairs(g, rng):
     perm = list(range(g.n))
     rng.shuffle(perm)
     h = relabel(swap_edges(g, rng), perm)
-    assert graphs_isomorphic(g, h) == nx.is_isomorphic(to_nx(g), to_nx(h))
+    assert masks_isomorphic(g.adjacency_masks(), h.adjacency_masks()) == nx.is_isomorphic(
+        to_nx(g), to_nx(h)
+    )
 
 
 @given(graphs(max_n=5), graphs(max_n=5))
 @settings(max_examples=200, deadline=None)
 def test_isomorphic_matches_networkx_on_random_pairs(g, h):
-    assert graphs_isomorphic(g, h) == nx.is_isomorphic(to_nx(g), to_nx(h))
+    assert masks_isomorphic(g.adjacency_masks(), h.adjacency_masks()) == nx.is_isomorphic(
+        to_nx(g), to_nx(h)
+    )
 
 
 @pytest.mark.parametrize("name", sorted(SYMMETRIC))
@@ -110,7 +120,9 @@ def test_symmetric_graphs(name):
         rng.shuffle(perm)
         assert certificate(relabel(g, perm).adjacency_masks()) == form
     for other, G in SYMMETRIC.items():
-        assert graphs_isomorphic(g, to_graph(G)) == nx.is_isomorphic(
+        assert masks_isomorphic(
+            g.adjacency_masks(), to_graph(G).adjacency_masks()
+        ) == nx.is_isomorphic(
             SYMMETRIC[name], G
         ), other
 
@@ -145,3 +157,110 @@ def test_regular_graphs_on_8_vertices():
             if not any(nx.is_isomorphic(G, H) for H in classes):
                 classes.append(G)
         assert len(forms) == len(classes)
+
+
+def group_order(generators: list[tuple[int, ...]], n: int) -> int:
+    """The size of the group the permutations generate, by closure."""
+    identity = tuple(range(n))
+    group, stack = {identity}, [identity]
+    while stack:
+        p = stack.pop()
+        for gamma in generators:
+            q = tuple(gamma[p[v]] for v in range(n))
+            if q not in group:
+                group.add(q)
+                stack.append(q)
+    return len(group)
+
+
+def nx_group_order(G: nx.Graph) -> int:
+    return sum(1 for _ in nx.algorithms.isomorphism.GraphMatcher(G, G).isomorphisms_iter())
+
+
+def preserves_edges(G: nx.Graph, gamma: tuple[int, ...]) -> bool:
+    return all(G.has_edge(gamma[u], gamma[v]) for u, v in G.edges())
+
+
+# an asymmetric graph: a path 0-1-2-3-4-5 with the chord 1-3 and the
+# pendant 6 on 3
+TRIVIAL7 = nx.Graph([(0, 1), (1, 2), (2, 3), (3, 4), (4, 5), (1, 3), (3, 6)])
+
+GROUPS = {
+    "empty7": nx.empty_graph(7),
+    "K7": nx.complete_graph(7),
+    "C7": nx.cycle_graph(7),
+    "K3,4": nx.complete_bipartite_graph(3, 4),
+    "prism": nx.circular_ladder_graph(3),
+    "trivial": TRIVIAL7,
+}
+
+
+@pytest.mark.parametrize("name", sorted(GROUPS))
+def test_automorphisms_generate_the_networkx_group(name):
+    G = GROUPS[name]
+    g = to_graph(G)
+    gens = automorphisms(g.adjacency_masks())
+    assert all(preserves_edges(to_nx(g), gamma) for gamma in gens)
+    assert group_order(gens, g.n) == nx_group_order(G)
+    if name == "trivial":
+        assert nx_group_order(G) == 1
+
+
+@given(graphs(max_n=7), st.randoms(use_true_random=False))
+@settings(max_examples=100, deadline=None)
+def test_automorphisms_survive_relabelling(g, rng):
+    perm = list(range(g.n))
+    rng.shuffle(perm)
+    h = relabel(g, perm)
+    order = nx_group_order(to_nx(g))
+    for graph in (g, h):
+        gens = automorphisms(graph.adjacency_masks())
+        assert all(preserves_edges(to_nx(graph), gamma) for gamma in gens)
+        assert group_order(gens, graph.n) == order
+
+
+def test_corrupted_leaf_raises(monkeypatch):
+    """The search keeps its best leaf; swapping two of its colors once a
+    second leaf of the same form is reached makes the permutation between
+    them a non-automorphism of the path 0-1-2, which must raise."""
+    leaves = []
+    refine = iso.refinement_colors
+
+    def corrupting(masks, colors=None):
+        out = refine(masks, colors)
+        if len(set(out)) == len(out):
+            if leaves:
+                first = leaves[0]
+                first[0], first[1] = first[1], first[0]
+            leaves.append(out)
+        return out
+
+    path = Graph(3, [(0, 1), (1, 2)]).adjacency_masks()
+    assert automorphisms(path) == [(2, 1, 0)]
+    monkeypatch.setattr(iso, "refinement_colors", corrupting)
+    with pytest.raises(RuntimeError, match="not an automorphism"):
+        automorphisms(path)
+
+
+def every_subset_enumeration(n: int) -> list[tuple[int, ...]]:
+    """Augment each graph on n - 1 vertices by every neighbor subset of a
+    new vertex and keep the children with new certificates."""
+    if n == 1:
+        return [(0,)]
+    out, seen = [], set()
+    new = n - 1
+    for parent in every_subset_enumeration(n - 1):
+        for subset in range(1 << new):
+            child = tuple(
+                parent[v] | (1 << new if subset >> v & 1 else 0) for v in range(new)
+            ) + (subset,)
+            key = certificate(child)
+            if key not in seen:
+                seen.add(key)
+                out.append(child)
+    return out
+
+
+def test_orbit_pruned_enumeration_equals_every_subset():
+    for n in range(1, 8):
+        assert list(enumerate_mask_graphs(n)) == every_subset_enumeration(n)
