@@ -213,8 +213,8 @@ def cmd_structures(args) -> int:
 
 
 def cmd_enumerate(args) -> int:
-    for entry in enumerate_graphs(args.n):
-        print(to_graph6(entry.graph))
+    for g in enumerate_graphs(args.n):
+        print(to_graph6(g))
     return 0
 
 

@@ -51,9 +51,6 @@ class KempeChain:
     def has_edge(self, e: tuple[int, int]) -> bool:
         return edge_key(*e) in self.edges
 
-    def is_trivial(self) -> bool:
-        return not self.edges
-
 
 class PartialEdgeColoring:
     """A proper edge k-coloring of a graph minus its uncolored edge set."""
@@ -87,9 +84,6 @@ class PartialEdgeColoring:
 
     def is_full(self) -> bool:
         return len(self._assign) == self.graph.edge_count()
-
-    def present(self, v: int) -> set[int]:
-        return _mask_to_colors(self._present[v])
 
     def missing_mask(self, v: int) -> int:
         return ~self._present[v] & ((1 << self.k) - 1)
@@ -153,23 +147,6 @@ class PartialEdgeColoring:
         self._present[u] &= ~bit
         self._present[v] &= ~bit
 
-    def recolor_edge(self, e: tuple[int, int], c: int) -> None:
-        """Recolor a colored edge; the new color must be missing at both
-        endpoints once the edge's own color is removed."""
-        self._check_color(c)
-        e = edge_key(*e)
-        old = self._assign.get(e)
-        if old is None:
-            raise ColoringError(f"edge {e} is not colored")
-        if old == c:
-            return
-        self.uncolor_edge(e)
-        try:
-            self.color_edge(e, c)
-        except ColoringError:
-            self.color_edge(e, old)
-            raise
-
     def _set_color_raw(self, e: tuple[int, int], c: int) -> None:
         """Recolor without the propriety precondition (script transactions
         may pass through improper states; the final validation gates them)."""
@@ -186,36 +163,12 @@ class PartialEdgeColoring:
                     mask |= 1 << (col - 1)
             self._present[w] = mask
 
-    def permute_colors(self, a: int, b: int) -> None:
-        """Swap the names of two colors everywhere (a global renaming)."""
-        self._check_color(a)
-        self._check_color(b)
-        if a == b:
-            return
-        for e, c in self._assign.items():
-            if c == a:
-                self._assign[e] = b
-            elif c == b:
-                self._assign[e] = a
-        abit, bbit = 1 << (a - 1), 1 << (b - 1)
-        for v in range(self.graph.n):
-            p = self._present[v]
-            hasa, hasb = p & abit, p & bbit
-            if bool(hasa) != bool(hasb):
-                self._present[v] = p ^ abit ^ bbit
-
     # -- Kempe machinery ----------------------------------------------------
 
-    def chain_through(
-        self, v: int, alpha: int, beta: int, first_edge: tuple[int, int] | None = None
-    ) -> KempeChain:
+    def chain_through(self, v: int, alpha: int, beta: int) -> KempeChain:
         """The maximal (alpha, beta)-component containing v.
 
         A vertex missing both colors yields a trivial one-vertex path.
-        `first_edge` disambiguates direction when v is interior to a path:
-        the returned path then starts at v's other side so that the chain
-        still covers the whole component (the argument only fixes the
-        orientation of the vertex listing).
         """
         self._check_color(alpha)
         self._check_color(beta)
@@ -229,12 +182,6 @@ class PartialEdgeColoring:
             return KempeChain(
                 (alpha, beta), "path", (v,), ()
             )
-        if first_edge is not None:
-            fe = edge_key(*first_edge)
-            if fe not in local:
-                raise ChainError(f"{fe} is not an ({alpha},{beta})-edge at {v}")
-            if len(local) == 2 and local[0] != fe:
-                local.reverse()
 
         def walk(start: int, e: Edge) -> tuple[list[int], list[Edge]]:
             verts, edges = [start], []
@@ -557,17 +504,6 @@ class AssignColor:
         return f"{u}-{v}", f"{self.color}"
 
 
-@dataclass(frozen=True)
-class PermuteColors:
-    """Globally rename color a as b and vice versa."""
-
-    a: int
-    b: int
-
-    def render(self) -> tuple[str, str]:
-        return f"{self.a}<->{self.b}", "rename"
-
-
 Step = (
     SwapSubchain
     | SwapChainAt
@@ -575,7 +511,6 @@ Step = (
     | SwapPath
     | RecolorEdge
     | AssignColor
-    | PermuteColors
 )
 
 
@@ -625,8 +560,6 @@ def apply_step(col: PartialEdgeColoring, step: Step) -> None:
         col._set_color_raw(step.edge, step.new)
     elif isinstance(step, AssignColor):
         col.color_edge(step.edge, step.color)
-    elif isinstance(step, PermuteColors):
-        col.permute_colors(step.a, step.b)
     else:  # pragma: no cover
         raise TypeError(f"unknown step {step!r}")
 

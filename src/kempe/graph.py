@@ -65,9 +65,6 @@ class Graph:
     def degrees(self) -> tuple[int, ...]:
         return tuple(len(s) for s in self._adj)
 
-    def degree_sequence(self) -> tuple[int, ...]:
-        return tuple(sorted(self.degrees()))
-
     def has_edge(self, u: int, v: int) -> bool:
         return v in self._adj[u]
 
@@ -392,20 +389,11 @@ def cycle_graph(n: int) -> Graph:
     return Graph(n, [(i, (i + 1) % n) for i in range(n)])
 
 
-def star_graph(m: int) -> Graph:
-    """K_{1,m} with the hub at vertex 0."""
-    return Graph(m + 1, [(0, i) for i in range(1, m + 1)])
-
-
 def hypercube_graph(d: int) -> Graph:
     n = 1 << d
     return Graph(
         n, [(v, v ^ (1 << i)) for v in range(n) for i in range(d) if v < v ^ (1 << i)]
     )
-
-
-def complete_bipartite_graph(p: int, q: int) -> Graph:
-    return Graph(p + q, [(i, p + j) for i in range(p) for j in range(q)])
 
 
 def petersen_graph() -> Graph:

@@ -60,39 +60,15 @@ from .structures import (
 )
 
 
-@dataclass(frozen=True)
-class CorpusEntry:
-    graph: Graph
-    provenance: str  # "enumerated" | "family:<name>" | "file"
-
-
-@dataclass
-class Corpus:
-    entries: list[CorpusEntry]
-
-    def __iter__(self):
-        return iter(self.entries)
-
-    def __len__(self) -> int:
-        return len(self.entries)
-
-
-def enumerate_graphs(n: int) -> Corpus:
+def enumerate_graphs(n: int) -> tuple[Graph, ...]:
     """All simple graphs on n vertices up to isomorphism."""
     if n > 8:
         raise ValueError("enumeration is budgeted for n <= 8")
-    entries = [
-        CorpusEntry(_graph_from_masks(masks), "enumerated")
-        for masks in enumerate_mask_graphs(n)
-    ]
-    return Corpus(entries)
+    return tuple(_graph_from_masks(masks) for masks in enumerate_mask_graphs(n))
 
 
-def enumerate_graphs_upto(n_max: int) -> Corpus:
-    entries = []
-    for n in range(1, n_max + 1):
-        entries.extend(enumerate_graphs(n).entries)
-    return Corpus(entries)
+def enumerate_graphs_upto(n_max: int) -> tuple[Graph, ...]:
+    return tuple(g for n in range(1, n_max + 1) for g in enumerate_graphs(n))
 
 
 def _graph_from_masks(masks: tuple[int, ...]) -> Graph:
@@ -104,10 +80,10 @@ def _graph_from_masks(masks: tuple[int, ...]) -> Graph:
 
 
 # n_max -> (Delta-critical graphs, parity report) of one enumeration pass
-_CRITICAL_CACHE: dict[int, tuple[list[Graph], VerificationReport]] = {}
+_CRITICAL_CACHE: dict[int, tuple[tuple[Graph, ...], VerificationReport]] = {}
 
 
-def _corpus_pass(n_max: int) -> tuple[list[Graph], VerificationReport]:
+def _corpus_pass(n_max: int) -> tuple[tuple[Graph, ...], VerificationReport]:
     """Solve each enumerated graph with edges once: a Delta-coloring goes
     to the parity check; a refuted graph is Class 2, so a connected one
     only needs its edges tested for criticality."""
@@ -115,8 +91,7 @@ def _corpus_pass(n_max: int) -> tuple[list[Graph], VerificationReport]:
         critical: list[Graph] = []
 
         def parity_reports():
-            for entry in enumerate_graphs_upto(n_max):
-                g = entry.graph
+            for g in enumerate_graphs_upto(n_max):
                 if not g.edge_count():
                     continue
                 col = find_edge_coloring(g, g.max_degree())
@@ -126,15 +101,15 @@ def _corpus_pass(n_max: int) -> tuple[list[Graph], VerificationReport]:
                     critical.append(g)
 
         parity = merge_reports(parity_reports(), "parity")
-        _CRITICAL_CACHE[n_max] = critical, parity
+        _CRITICAL_CACHE[n_max] = tuple(critical), parity
     return _CRITICAL_CACHE[n_max]
 
 
-def delta_critical_corpus(n_max: int) -> Corpus:
+def delta_critical_corpus(n_max: int) -> tuple[Graph, ...]:
     """All connected graphs up to n_max vertices (up to isomorphism) that
     are Class 2 with every edge critical."""
     critical, _ = _corpus_pass(n_max)
-    return Corpus([CorpusEntry(g, "enumerated") for g in critical])
+    return critical
 
 
 def parity_sweep(n_max: int) -> VerificationReport:
@@ -320,9 +295,9 @@ def verify_theorem2_entry(g: Graph) -> VerificationReport:
     return passing(check, pairs=len(pairs))
 
 
-def verify_theorem2(corpus: Corpus) -> VerificationReport:
+def verify_theorem2(corpus: tuple[Graph, ...]) -> VerificationReport:
     return merge_reports(
-        (verify_theorem2_entry(e.graph) for e in corpus),
+        (verify_theorem2_entry(g) for g in corpus),
         "theorem-full-deficiency-overfull",
     )
 
@@ -354,9 +329,9 @@ def verify_corollary_entry(g: Graph) -> VerificationReport:
     return passing(check, met=met)
 
 
-def verify_corollary(corpus: Corpus) -> VerificationReport:
+def verify_corollary(corpus: tuple[Graph, ...]) -> VerificationReport:
     return merge_reports(
-        (verify_corollary_entry(e.graph) for e in corpus),
+        (verify_corollary_entry(g) for g in corpus),
         "corollary-near-full-uniqueness",
     )
 
@@ -389,7 +364,7 @@ K5Instance = tuple[Graph, tuple[int, int], int, KiersteadPath, PartialEdgeColori
 
 
 def lemma_sweep(
-    corpus: Corpus, seeds: int = 8
+    corpus: tuple[Graph, ...], seeds: int = 8
 ) -> tuple[list[VerificationReport], list[K5Instance]]:
     """Run every structure check across the corpus: graph-level degree
     lemmas once per graph, coloring-level checks for `seeds` colorings of
@@ -398,8 +373,7 @@ def lemma_sweep(
     its coloring, for normalization."""
     acc: dict[str, VerificationReport] = {}
     k5_instances: list[K5Instance] = []
-    for entry in corpus:
-        g = entry.graph
+    for g in corpus:
         for e in g.edges():
             _accumulate(acc, check_val(g, e))
         for a, b in full_deficiency_pairs(g):

@@ -273,13 +273,13 @@ class _Normalizer:
             )
 
         delta = cus
-        beta = self._pick_beta(B)
+        beta = B[0]
 
         # dispatch on where the color of st is missing
         if c.is_missing(b, cst):
-            self._case_far_color_at_b(alpha, beta, delta, cst)
+            self._case_far_color_at_b(beta, delta, cst)
         elif c.is_missing(self.u, cst):
-            self._case_far_color_at_u(alpha, beta, delta, cst)
+            self._case_far_color_at_u(beta, delta, cst)
         elif c.is_missing(a, cst):
             self._case_far_color_at_a(alpha, beta, delta, cst, A, B)
         else:
@@ -325,12 +325,7 @@ class _Normalizer:
             f"the edge {av}"
         )
 
-    def _pick_beta(self, B: list[int]) -> int:
-        return B[0]
-
-    def _case_far_color_at_b(
-        self, alpha: int, beta: int, delta: int, gamma: int
-    ) -> None:
+    def _case_far_color_at_b(self, beta: int, delta: int, gamma: int) -> None:
         """st's color is missing at b."""
         c = self.col
         a, b, u, t = self.a, self.b, self.u, self.t
@@ -351,9 +346,7 @@ class _Normalizer:
         # import delta at the far end first, then retry this case
         self._import_to_far_end(delta, avoid=(u, self.s))
 
-    def _case_far_color_at_u(
-        self, alpha: int, beta: int, delta: int, gamma: int
-    ) -> None:
+    def _case_far_color_at_u(self, beta: int, delta: int, gamma: int) -> None:
         """st's color is missing at u."""
         c = self.col
         a, b, u, t = self.a, self.b, self.u, self.t

@@ -38,9 +38,6 @@ class Multifan:
     def vertices(self) -> tuple[int, ...]:
         return (self.center,) + self.leaves
 
-    def spokes(self) -> list[tuple[int, int]]:
-        return [(self.center, s) for s in self.leaves]
-
     def validate(self, col: PartialEdgeColoring) -> None:
         r = self.center
         if len(set(self.vertices)) != len(self.vertices):
@@ -77,25 +74,16 @@ class KiersteadPath:
     def __len__(self) -> int:
         return len(self.vertices)
 
-    def edges(self) -> list[tuple[int, int]]:
-        return [
-            edge_key(u, v) for u, v in zip(self.vertices, self.vertices[1:])
-        ]
-
     def validate(self, col: PartialEdgeColoring) -> None:
         vs = self.vertices
         if len(set(vs)) != len(vs):
             raise AssertionError("path vertices not distinct")
         if col.is_colored((vs[0], vs[1])):
             raise AssertionError("root edge must be uncolored")
-        for i in range(2, len(vs)):
-            c = col.color_of((vs[i - 1], vs[i]))
-            if c is None:
-                raise AssertionError(f"edge {vs[i-1]}-{vs[i]} is uncolored")
-            if not any(col.is_missing(vs[j], c) for j in range(i)):
-                raise AssertionError(
-                    f"edge color {c} at position {i} missing at no earlier vertex"
-                )
+        if not _kierstead_ok(col, vs):
+            raise AssertionError(
+                "an edge is uncolored or its color is missing at no earlier vertex"
+            )
 
 
 @dataclass(frozen=True)
@@ -258,10 +246,7 @@ def check_fan_lemmas(
                         "center-leaf-linkage", alpha=alpha, beta=beta, leaf=s
                     )
 
-    try:
-        seqs, precedes = alpha_sequences(col, fan)
-    except AmbiguityError:
-        return fail("elementary")
+    seqs, precedes = alpha_sequences(col, fan)
     anchor: dict[int, int] = {}
     for seq in seqs:
         anchor[seq.anchor] = seq.anchor
@@ -307,6 +292,26 @@ def check_fan_lemmas(
 # ---------------------------------------------------------------------------
 
 
+def _kierstead_ok(col: PartialEdgeColoring, vertices: tuple[int, ...]) -> bool:
+    """The Kierstead condition: every edge after the root edge is colored
+    with a color missing at an earlier vertex of the sequence (the root
+    edge itself is not looked at)."""
+    missing = col.missing_mask(vertices[0]) | col.missing_mask(vertices[1])
+    for i in range(2, len(vertices)):
+        c = col.color_of((vertices[i - 1], vertices[i]))
+        if c is None or not missing >> (c - 1) & 1:
+            return False
+        missing |= col.missing_mask(vertices[i])
+    return True
+
+
+def _single_uncolored(col: PartialEdgeColoring) -> tuple[int, int]:
+    uncolored = col.uncolored_edges()
+    if len(uncolored) != 1:
+        raise ValueError("coloring must have exactly one uncolored edge")
+    return uncolored[0]
+
+
 def find_kierstead_paths(
     col: PartialEdgeColoring, p: int
 ) -> list[KiersteadPath]:
@@ -314,10 +319,7 @@ def find_kierstead_paths(
     single uncolored edge, trying both orientations of that edge."""
     if not 1 <= p <= 4:
         raise ValueError("supported path lengths: p in 1..4")
-    uncolored = col.uncolored_edges()
-    if len(uncolored) != 1:
-        raise ValueError("coloring must have exactly one uncolored edge")
-    (u, v) = uncolored[0]
+    u, v = _single_uncolored(col)
     g = col.graph
     out = []
 
@@ -420,14 +422,8 @@ def check_k5_claims(
         for x in sorted(g.neighbors(u)):
             if x in kp.vertices:
                 continue
-            c = col.color_of((u, x))
-            if c is None:
-                continue
-            prefix_missing = (
-                col.missing_mask(a) | col.missing_mask(b) | col.missing_mask(u)
-            )
-            if not prefix_missing >> (c - 1) & 1:
-                continue  # (a,ab,b,bu,u,ux,x) is not a Kierstead path
+            if not _kierstead_ok(col, (a, b, u, x)):
+                continue  # (a, b, u, x) is not a Kierstead path
             if not col.missing(x) <= root_missing:
                 continue
             details["companion_met"] += 1
@@ -454,25 +450,6 @@ def check_k5_claims(
 # ---------------------------------------------------------------------------
 
 
-def _kierstead_ok(col: PartialEdgeColoring, vertices: tuple[int, ...]) -> bool:
-    """Does the vertex sequence satisfy the Kierstead condition for each of
-    its colored edges (root edge assumed uncolored)?"""
-    missing = col.missing_mask(vertices[0]) | col.missing_mask(vertices[1])
-    for i in range(2, len(vertices)):
-        c = col.color_of((vertices[i - 1], vertices[i]))
-        if c is None or not missing >> (c - 1) & 1:
-            return False
-        missing |= col.missing_mask(vertices[i])
-    return True
-
-
-def _single_uncolored(col: PartialEdgeColoring) -> tuple[int, int]:
-    uncolored = col.uncolored_edges()
-    if len(uncolored) != 1:
-        raise ValueError("coloring must have exactly one uncolored edge")
-    return uncolored[0]
-
-
 def find_structure_witnesses(
     col: PartialEdgeColoring, kind: str
 ) -> list[StructureWitness]:
@@ -494,109 +471,114 @@ def find_structure_witnesses(
     return finder(col)
 
 
-def _find_shortkites(col: PartialEdgeColoring) -> list[StructureWitness]:
+# role names of each kind, in the order of its witness dicts
+_ROLES = {
+    "shortkite": ("a", "b", "c", "u", "x", "y"),
+    "kite": ("a", "b", "c", "u", "s1", "s2", "t1", "t2"),
+    "fork": ("a", "b", "u", "s1", "s2", "t1", "t2"),
+}
+
+
+def _witness(kind: str, *vertices: int) -> StructureWitness:
+    return StructureWitness(kind, dict(zip(_ROLES[kind], vertices)))
+
+
+def _kite_cores(col: PartialEdgeColoring):
+    """The cores (a, b, c, u) of short-kites and kites: ab is the uncolored
+    edge in either orientation, c a neighbor of a, u a common neighbor of
+    b and c."""
     g = col.graph
     e = _single_uncolored(col)
-    found: list[StructureWitness] = []
-    seen: set[tuple[int, ...]] = set()
     for a, b in (e, e[::-1]):
         for c in sorted(g.neighbors(a) - {b}):
             for u in sorted((g.neighbors(b) & g.neighbors(c)) - {a}):
-                arms = [
-                    (x, y)
-                    for x in sorted(g.neighbors(u) - {a, b, c})
-                    for y in sorted(g.neighbors(u) - {a, b, c})
-                    if x != y
-                ]
-                valid = set()
-                for x, y in arms:
-                    if _kierstead_ok(col, (a, b, u, x)) and _kierstead_ok(
-                        col, (b, a, c, u, y)
-                    ):
-                        valid.add((x, y))
-                for x, y in sorted(valid):
-                    if (y, x) in valid and y < x:
-                        continue  # same short-kite, arms swapped
-                    key = (a, b, c, u, x, y)
-                    if key not in seen:
-                        seen.add(key)
-                        found.append(
-                            StructureWitness(
-                                "shortkite",
-                                {"a": a, "b": b, "c": c, "u": u, "x": x, "y": y},
-                            )
-                        )
+                yield a, b, c, u
+
+
+def _drop_arm_swaps(valid: set[tuple]) -> list[tuple]:
+    """The arm assignments (p, q) in sorted order, keeping one of each
+    swapped pair: (p, q) goes when (q, p) is valid too and q < p."""
+    return [(p, q) for p, q in sorted(valid) if not ((q, p) in valid and q < p)]
+
+
+def _find_shortkites(col: PartialEdgeColoring) -> list[StructureWitness]:
+    g = col.graph
+    found: list[StructureWitness] = []
+    for a, b, c, u in _kite_cores(col):
+        tips = sorted(g.neighbors(u) - {a, b, c})
+        if len(tips) < 2:
+            continue  # a short-kite has two tips
+        xs = [x for x in tips if _kierstead_ok(col, (a, b, u, x))]
+        ys = [y for y in tips if _kierstead_ok(col, (b, a, c, u, y))]
+        valid = {(x, y) for x in xs for y in ys if x != y}
+        for x, y in _drop_arm_swaps(valid):
+            found.append(_witness("shortkite", a, b, c, u, x, y))
     return found
 
 
 def _find_kites(col: PartialEdgeColoring) -> list[StructureWitness]:
     g = col.graph
-    e = _single_uncolored(col)
     found: list[StructureWitness] = []
-    for a, b in (e, e[::-1]):
-        for c in sorted(g.neighbors(a) - {b}):
-            for u in sorted((g.neighbors(b) & g.neighbors(c)) - {a}):
-                core = {a, b, c, u}
-                arm_pairs = []
-                for s1 in sorted(g.neighbors(u) - core):
-                    for t1 in sorted(g.neighbors(s1) - core - {s1}):
-                        arm_pairs.append((s1, t1))
-                valid = set()
-                for s1, t1 in arm_pairs:
-                    for s2, t2 in arm_pairs:
-                        if len({s1, t1, s2, t2}) != 4:
-                            continue
-                        if col.color_of((s1, t1)) != col.color_of((s2, t2)):
-                            continue
-                        if _kierstead_ok(
-                            col, (a, b, u, s1, t1)
-                        ) and _kierstead_ok(col, (b, a, c, u, s2, t2)):
-                            valid.add((s1, t1, s2, t2))
-                for s1, t1, s2, t2 in sorted(valid):
-                    if (s2, t2, s1, t1) in valid and (s2, t2) < (s1, t1):
-                        continue
-                    found.append(
-                        StructureWitness(
-                            "kite",
-                            {
-                                "a": a, "b": b, "c": c, "u": u,
-                                "s1": s1, "s2": s2, "t1": t1, "t2": t2,
-                            },
-                        )
-                    )
+    for a, b, c, u in _kite_cores(col):
+        core = {a, b, c, u}
+        arms = [
+            (s, t, col.color_of((s, t)))
+            for s in sorted(g.neighbors(u) - core)
+            for t in sorted(g.neighbors(s) - core)
+        ]
+        # the cheap color test first: it rejects most arm pairs
+        valid = {
+            ((s1, t1), (s2, t2))
+            for s1, t1, c1 in arms
+            for s2, t2, c2 in arms
+            if c1 == c2
+            and len({s1, t1, s2, t2}) == 4
+            and _kierstead_ok(col, (a, b, u, s1, t1))
+            and _kierstead_ok(col, (b, a, c, u, s2, t2))
+        }
+        for (s1, t1), (s2, t2) in _drop_arm_swaps(valid):
+            found.append(_witness("kite", a, b, c, u, s1, s2, t1, t2))
     return found
+
+
+def _fork_shapes(col: PartialEdgeColoring):
+    """Every fork-shaped tuple (a, b, u, s1, s2, t1, t2) at the uncolored
+    edge ab, both orientations: u a neighbor of b, arms u-s1-t1 and
+    u-s2-t2, seven distinct vertices, each arm pair once (s1 < s2). They
+    come in the order of (u, s1, t1, s2, t2)."""
+    g = col.graph
+    e = _single_uncolored(col)
+    for a, b in (e, e[::-1]):
+        for u in sorted(g.neighbors(b) - {a}):
+            for s1 in sorted(g.neighbors(u) - {a, b}):
+                for t1 in sorted(g.neighbors(s1) - {a, b, u}):
+                    for s2 in sorted(g.neighbors(u) - {a, b, s1, t1}):
+                        if s2 < s1:
+                            continue  # arms are interchangeable
+                        for t2 in sorted(g.neighbors(s2) - {a, b, u, s1, t1}):
+                            yield a, b, u, s1, s2, t1, t2
+
+
+def _is_fork(col: PartialEdgeColoring, roles: tuple[int, ...]) -> bool:
+    """The fork's color conditions: bu's color is missing at a, the four
+    arm edges' colors at a or b, and each arm tip misses the color of the
+    other arm's tip edge."""
+    a, b, u, s1, s2, t1, t2 = roles
+    fu = col.color_of((b, u))
+    if fu is None or not col.is_missing(a, fu):
+        return False
+    root_missing = col.missing_mask(a) | col.missing_mask(b)
+    for e in ((u, s1), (s1, t1), (u, s2), (s2, t2)):
+        c = col.color_of(e)
+        if c is None or not root_missing >> (c - 1) & 1:
+            return False
+    c1, c2 = col.color_of((s1, t1)), col.color_of((s2, t2))
+    return col.is_missing(t2, c1) and col.is_missing(t1, c2)
 
 
 def _find_forks(col: PartialEdgeColoring) -> list[StructureWitness]:
-    g = col.graph
-    e = _single_uncolored(col)
-    found = []
-    for a, b in (e, e[::-1]):
-        for u in sorted(g.neighbors(b) - {a}):
-            fu = col.color_of((b, u))
-            if fu is None or not col.is_missing(a, fu):
-                continue
-            root_missing = col.missing_mask(a) | col.missing_mask(b)
-            arms = []
-            for s in sorted(g.neighbors(u) - {a, b}):
-                cs = col.color_of((u, s))
-                if cs is None or not root_missing >> (cs - 1) & 1:
-                    continue
-                for t in sorted(g.neighbors(s) - {a, b, u}):
-                    ct = col.color_of((s, t))
-                    if ct is not None and root_missing >> (ct - 1) & 1:
-                        arms.append((s, t, ct))
-            for i, (s1, t1, c1) in enumerate(arms):
-                for s2, t2, c2 in arms[i + 1:]:
-                    if len({s1, t1, s2, t2}) != 4:
-                        continue
-                    if col.is_missing(t2, c1) and col.is_missing(t1, c2):
-                        roles = {
-                            "a": a, "b": b, "u": u,
-                            "s1": s1, "s2": s2, "t1": t1, "t2": t2,
-                        }
-                        found.append(StructureWitness("fork", roles))
-    return found
+    shapes = _fork_shapes(col)
+    return [_witness("fork", *roles) for roles in shapes if _is_fork(col, roles)]
 
 
 def check_shortkite(
@@ -628,8 +610,7 @@ def check_kite(col: PartialEdgeColoring, wit: StructureWitness) -> VerificationR
     """Kite conclusion: with equal arm-tip edge colors, the two far tips
     share at most 4 missing colors inside the root pair's missing set."""
     check = "kite-overlap-bound"
-    a, b, t1, t2 = wit.role_tuple("a", "b", "t1", "t2")
-    s1, s2 = wit.role_tuple("s1", "s2")
+    a, b, s1, s2, t1, t2 = wit.role_tuple("a", "b", "s1", "s2", "t1", "t2")
     if col.color_of((s1, t1)) != col.color_of((s2, t2)):
         return vacuous(check)
     shared = (
@@ -657,42 +638,21 @@ def check_fork_absence(col: PartialEdgeColoring) -> VerificationReport:
     check = "fork-absence"
     g = col.graph
     delta = g.max_degree()
-    e = _single_uncolored(col)
     candidates = 0
-    forks = find_structure_witnesses(col, "fork")
-    fork_keys = {
-        tuple(sorted(w.roles.items())) for w in forks
-    }
-    for a, b in (e, e[::-1]):
-        for u in sorted(g.neighbors(b) - {a}):
-            for s1 in sorted(g.neighbors(u) - {a, b}):
-                for t1 in sorted(g.neighbors(s1) - {a, b, u}):
-                    for s2 in sorted(g.neighbors(u) - {a, b, s1, t1}):
-                        if s2 < s1:
-                            continue  # arms are interchangeable
-                        for t2 in sorted(
-                            g.neighbors(s2) - {a, b, u, s1, t1}
-                        ):
-                            if delta < g.degree(a) + g.degree(t1) + g.degree(t2) + 1:
-                                continue
-                            candidates += 1
-                            roles = {
-                                "a": a, "b": b, "u": u,
-                                "s1": s1, "s2": s2, "t1": t1, "t2": t2,
-                            }
-                            alt = dict(roles, s1=s2, t1=t2, s2=s1, t2=t1)
-                            if (
-                                tuple(sorted(roles.items())) in fork_keys
-                                or tuple(sorted(alt.items())) in fork_keys
-                            ):
-                                return failing(
-                                    check,
-                                    counterexample={
-                                        "graph6": to_graph6(g),
-                                        "coloring": col.serialize(),
-                                        "witness": roles,
-                                    },
-                                )
+    for roles in _fork_shapes(col):
+        a, *_, t1, t2 = roles
+        if delta < g.degree(a) + g.degree(t1) + g.degree(t2) + 1:
+            continue
+        candidates += 1
+        if _is_fork(col, roles):
+            return failing(
+                check,
+                counterexample={
+                    "graph6": to_graph6(g),
+                    "coloring": col.serialize(),
+                    "witness": dict(zip(_ROLES["fork"], roles)),
+                },
+            )
     if candidates == 0:
         return vacuous(check)
     return passing(check, candidates=candidates)

@@ -82,8 +82,7 @@ def test_criterion_1_enumeration_oracle():
         if n <= 5:
             assert counts[n] == bruteforce_unlabeled_count(n)
     for n in range(3, 9):
-        for entry in enumerate_graphs(n):
-            g = entry.graph
+        for g in enumerate_graphs(n):
             if g.edge_count() and is_overfull(g):
                 assert n % 2 == 1  # overfull forces odd order
     elapsed = time.time() - start
@@ -172,7 +171,7 @@ def test_criterion_5_full_deficiency_theorem(corpus8):
     rep = verify_theorem2(corpus8)
     assert rep.passed, rep.counterexample
     assert rep.hypothesis_met >= 2
-    masks = [e.graph.adjacency_masks() for e in corpus8]
+    masks = [g.adjacency_masks() for g in corpus8]
     for name in ("triangle", "splitk4"):
         fixture = builtin_fixture(name).adjacency_masks()
         assert any(masks_isomorphic(m, fixture) for m in masks)

@@ -24,7 +24,6 @@ from kempe.graph import (
     builtin_fixture,
     complete_graph,
     cycle_graph,
-    star_graph,
 )
 from kempe.coloring import ColoringError, PartialEdgeColoring
 from kempe.harness import enumerate_graphs_upto
@@ -57,7 +56,7 @@ def test_vizing_coloring_validates(pstar, k4):
 
 
 def test_vizing_star_uses_hub_degree_colors():
-    g = star_graph(5)
+    g = Graph(6, [(0, i) for i in range(1, 6)])  # K1,5, hub 0
     col = vizing_plus_one_coloring(g)
     assert col.k == 6
     assert len({col.color_of(e) for e in g.edges()}) == 5
@@ -91,8 +90,7 @@ def test_vizing_bound_never_beaten_small():
     """The fan coloring can never use fewer colors than the exact index
     allows: verify chi' <= Delta+1 and exact <= vizing on the n <= 6
     enumeration."""
-    for entry in enumerate_graphs_upto(6):
-        g = entry.graph
+    for g in enumerate_graphs_upto(6):
         if g.edge_count() == 0 or g.n < 2:
             continue
         chi = exact_chromatic_index(g)
@@ -147,8 +145,7 @@ def test_orbit_reduced_criticality_matches_every_edge():
     """On every connected Class 2 graph with n <= 7, solving one edge per
     automorphism orbit answers as solving every edge does."""
     answers = []
-    for entry in enumerate_graphs_upto(7):
-        g = entry.graph
+    for g in enumerate_graphs_upto(7):
         if not g.edge_count() or not g.is_connected():
             continue
         delta = g.max_degree()
@@ -226,8 +223,7 @@ def test_budget_error_carries_progress():
 
 def test_solver_output_is_pinned():
     results = []
-    for entry in enumerate_graphs_upto(6):
-        g = entry.graph
+    for g in enumerate_graphs_upto(6):
         if not g.edge_count():
             continue
         for seed in (None, 0, 1):

@@ -67,7 +67,7 @@ def test_enumeration_budget():
 
 
 def test_enumeration_members_distinct(critical_corpus_small):
-    masks = [e.graph.adjacency_masks() for e in enumerate_graphs(5)]
+    masks = [g.adjacency_masks() for g in enumerate_graphs(5)]
     for i in range(len(masks)):
         for j in range(i + 1, len(masks)):
             assert not masks_isomorphic(masks[i], masks[j])
@@ -145,11 +145,10 @@ def test_corollary_entry(splitk4):
 
 
 def test_critical_corpus_small_contents(critical_corpus_small):
-    gs = [e.graph for e in critical_corpus_small]
-    masks = [g.adjacency_masks() for g in gs]
+    masks = [g.adjacency_masks() for g in critical_corpus_small]
     for h in (builtin_fixture("triangle"), cycle_graph(5), builtin_fixture("splitk4")):
         assert any(masks_isomorphic(m, h.adjacency_masks()) for m in masks)
-    assert all(g.n % 2 == 1 for g in gs)  # no even-order critical graphs here
+    assert all(g.n % 2 == 1 for g in critical_corpus_small)  # no even-order critical graphs here
 
 
 def test_lemma_sweep_small_corpus(critical_corpus_small):

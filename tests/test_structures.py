@@ -1,6 +1,8 @@
 from __future__ import annotations
 
 import ast
+import hashlib
+import json
 import random
 from itertools import permutations
 from pathlib import Path
@@ -11,7 +13,7 @@ import kempe.classify
 import kempe.structures
 from kempe.classify import delta_coloring_of_minus_e, find_edge_coloring
 from kempe.coloring import PartialEdgeColoring
-from kempe.graph import Graph, builtin_fixture, cycle_graph, star_graph
+from kempe.graph import Graph, builtin_fixture, cycle_graph
 from kempe.structures import (
     AmbiguityError,
     KiersteadPath,
@@ -342,6 +344,46 @@ def naive_shortkites(col) -> set[tuple]:
     return out
 
 
+def naive_kites(col) -> set[tuple]:
+    g = col.graph
+    (e,) = col.uncolored_edges()
+
+    def kier_ok(seq):
+        missing = col.missing(seq[0]) | col.missing(seq[1])
+        for i in range(2, len(seq)):
+            c = col.color_of((seq[i - 1], seq[i]))
+            if c is None or c not in missing:
+                return False
+            missing |= col.missing(seq[i])
+        return True
+
+    raw = set()
+    for a, b in (e, e[::-1]):
+        for c, u, s1, t1, s2, t2 in permutations(
+            [v for v in range(g.n) if v not in (a, b)], 6
+        ):
+            if not (
+                g.has_edge(a, c)
+                and g.has_edge(b, u)
+                and g.has_edge(c, u)
+                and g.has_edge(u, s1)
+                and g.has_edge(s1, t1)
+                and g.has_edge(u, s2)
+                and g.has_edge(s2, t2)
+            ):
+                continue
+            if col.color_of((s1, t1)) != col.color_of((s2, t2)):
+                continue
+            if kier_ok((a, b, u, s1, t1)) and kier_ok((b, a, c, u, s2, t2)):
+                raw.add((a, b, c, u, s1, t1, s2, t2))
+    out = set()
+    for a, b, c, u, s1, t1, s2, t2 in raw:
+        if (a, b, c, u, s2, t2, s1, t1) in raw and (s2, t2) < (s1, t1):
+            continue
+        out.add((a, b, c, u, s1, t1, s2, t2))
+    return out
+
+
 def naive_forks(col) -> set[tuple]:
     g = col.graph
     (e,) = col.uncolored_edges()
@@ -412,6 +454,48 @@ def test_fork_finder_matches_naive(pstar):
             for w in find_structure_witnesses(col, "fork")
         }
         assert mine == naive_forks(col)
+
+
+def test_kite_finder_matches_naive():
+    found = 0
+    for seed in range(300):
+        col, _ = random_host_with_paths(seed, 2)
+        mine = {
+            w.role_tuple("a", "b", "c", "u", "s1", "t1", "s2", "t2")
+            for w in find_structure_witnesses(col, "kite")
+        }
+        assert mine == naive_kites(col)
+        found += len(mine)
+    assert found > 0  # kites occur on these hosts, so the match is not empty
+
+
+# sha256 of the JSON of the `roles` lists that find_structure_witnesses
+# returns for shortkite, kite and fork, in that order, on the hosts of
+# `pinned_hosts`. Taken before the finders shared their walks; any change
+# of the witnesses or of their order changes it.
+WITNESS_DIGEST = "540932ee31c56f5f4d35cd27172b56f223297186386b65791de36ae2890db967"
+
+
+def pinned_hosts(critical_corpus_small) -> list[PartialEdgeColoring]:
+    """The n <= 6 critical corpus at seeds 0-3, then random hosts 0-99."""
+    hosts = [
+        delta_coloring_of_minus_e(g, e, seed=seed)
+        for g in critical_corpus_small
+        for e in g.edges()
+        for seed in range(4)
+    ]
+    return hosts + [random_host_with_paths(seed, 2)[0] for seed in range(100)]
+
+
+def test_witness_lists_are_pinned(critical_corpus_small):
+    lists = [
+        [w.roles for w in find_structure_witnesses(col, kind)]
+        for col in pinned_hosts(critical_corpus_small)
+        for kind in ("shortkite", "kite", "fork")
+    ]
+    assert any(lists[1::3])  # kites occur on these hosts
+    blob = json.dumps(lists, sort_keys=True).encode()
+    assert hashlib.sha256(blob).hexdigest() == WITNESS_DIGEST
 
 
 def kite_violation_host():
@@ -493,6 +577,20 @@ def test_fork_absence_negative_control():
     assert rep.counterexample["witness"]["a"] == 0
 
 
+def test_fork_absence_makes_no_finder_call(monkeypatch, pstar):
+    def no_finder(*args, **kwargs):
+        raise AssertionError("fork absence walks the fork shapes itself")
+
+    monkeypatch.setattr(kempe.structures, "find_structure_witnesses", no_finder)
+    rep = check_fork_absence(fork_violation_host())
+    assert not rep.passed
+    assert rep.counterexample["witness"] == {
+        "a": 0, "b": 1, "u": 2, "s1": 3, "s2": 4, "t1": 5, "t2": 6,
+    }
+    for e in pstar.edges():
+        assert check_fork_absence(delta_coloring_of_minus_e(pstar, e)).passed
+
+
 def test_fork_absence_vacuous_without_candidates():
     col = triangle_minus_ab()
     rep = check_fork_absence(col)
@@ -518,7 +616,7 @@ def test_val_triangle_and_pstar(triangle, pstar):
 
 
 def test_val_negative_control():
-    g = star_graph(3)
+    g = Graph(4, [(0, 1), (0, 2), (0, 3)])  # K1,3, hub 0
     rep = check_val(g, (0, 1))
     assert not rep.passed
 
