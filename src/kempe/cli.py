@@ -11,6 +11,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from pathlib import Path
 
 from .classify import (
     BudgetExceededError,
@@ -34,7 +35,7 @@ from .graph import (
     split_vertex,
     to_graph6,
 )
-from .harness import SUITES, SuiteConfig, enumerate_graphs, run_suite
+from .harness import SUITES, SuiteConfig, enumerate_graphs, run_suite, write_reports
 from .structures import find_kierstead_paths, find_structure_witnesses, grow_multifan
 
 
@@ -219,13 +220,10 @@ def cmd_enumerate(args) -> int:
 
 
 def cmd_verify(args) -> int:
-    config = SuiteConfig(
-        suite=args.suite,
-        n_max=args.n_max,
-        seeds=args.seeds,
-        out_dir=args.out,
-    )
+    config = SuiteConfig(suite=args.suite, n_max=args.n_max, seeds=args.seeds)
     result = run_suite(config)
+    if args.out:
+        write_reports(result, Path(args.out))
     if args.json:
         print(
             json.dumps(

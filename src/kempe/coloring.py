@@ -266,7 +266,7 @@ class PartialEdgeColoring:
                 "interior swaps need an explicit segment"
             )
         chain = self.chain_through(v, alpha, beta)
-        self.swap_chain(chain)
+        self._swap_edges(chain.edges, alpha, beta)
         return chain
 
     def swap_subchain(self, x: int, y: int, alpha: int, beta: int) -> tuple[Edge, ...]:

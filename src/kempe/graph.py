@@ -104,15 +104,6 @@ class Graph:
                     queue.append(w)
         return len(seen) == self.n
 
-    def validate(self) -> None:
-        """Check adjacency symmetry and loop-freeness (debug aid)."""
-        for u in range(self.n):
-            if u in self._adj[u]:
-                raise AssertionError(f"loop at {u}")
-            for v in self._adj[u]:
-                if u not in self._adj[v]:
-                    raise AssertionError(f"asymmetric edge ({u},{v})")
-
     def __eq__(self, other: object) -> bool:
         return (
             isinstance(other, Graph)
@@ -352,6 +343,17 @@ def full_deficiency_pairs(g: Graph) -> list[tuple[int, int]]:
         for u, v in g.edges()
         if g.degree(u) + g.degree(v) == target
     ]
+
+
+def meets_degree_bound(delta: int, n: int) -> bool:
+    """The paper's degree bound Delta >= 3(n - 1)/4, in integers."""
+    return 4 * delta >= 3 * (n - 1)
+
+
+def near_full_vertices(g: Graph, a: int, b: int) -> list[int]:
+    """The vertices outside the pair {a, b} with degree Delta - 1."""
+    target = g.max_degree() - 1
+    return [x for x in range(g.n) if x not in (a, b) and g.degree(x) == target]
 
 
 def distance_to_set(g: Graph, u: int, targets: set[int] | frozenset[int]) -> float:

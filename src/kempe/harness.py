@@ -31,6 +31,8 @@ from .graph import (
     identification_map,
     identify_pair,
     is_overfull,
+    meets_degree_bound,
+    near_full_vertices,
     split_vertex,
     to_graph6,
 )
@@ -229,9 +231,7 @@ def verify_theorem1(g: Graph) -> VerificationReport:
         raise ValueError("input must be regular")
     if classify(g) is not GraphClass.CLASS1:
         raise ValueError("input must be Class 1")
-    delta = g.max_degree()
-    n_split = g.n + 1
-    if 4 * delta < 3 * (n_split - 1):
+    if not meets_degree_bound(g.max_degree(), g.n + 1):
         return vacuous(check, reason="degree-bound-unmet")
     splits = 0
     for spec in _split_specs(g):
@@ -240,13 +240,11 @@ def verify_theorem1(g: Graph) -> VerificationReport:
         if not is_delta_critical(h):
             return failing(
                 check,
-                counterexample={
-                    "graph6": to_graph6(g),
-                    "split_vertex": spec.vertex,
-                    "part_one": sorted(spec.part_one),
-                    "result_graph6": to_graph6(h),
-                },
+                g,
                 met=splits,
+                split_vertex=spec.vertex,
+                part_one=sorted(spec.part_one),
+                result_graph6=to_graph6(h),
             )
     return passing(check, met=splits, splits=splits)
 
@@ -273,14 +271,10 @@ def verify_theorem2_entry(g: Graph) -> VerificationReport:
     check = "theorem-full-deficiency-overfull"
     delta = g.max_degree()
     pairs = full_deficiency_pairs(g)
-    if not pairs or 4 * delta < 3 * (g.n - 1):
+    if not pairs or not meets_degree_bound(delta, g.n):
         return vacuous(check, reason="hypothesis-unmet")
-
-    def fail(**info) -> VerificationReport:
-        return failing(check, counterexample={"graph6": to_graph6(g), **info})
-
     if not is_overfull(g):
-        return fail(clause="overfull")
+        return failing(check, g, clause="overfull")
     for a, b in pairs:
         col = delta_coloring_of_minus_e(g, (a, b))
         mg = identify_pair(g, a, b)
@@ -289,9 +283,9 @@ def verify_theorem2_entry(g: Graph) -> VerificationReport:
             ((vmap[u], vmap[v]), c) for (u, v), c in sorted(col.colored_edges().items())
         ]
         if not mg.is_regular() or mg.max_degree() != delta:
-            return fail(clause="merged-regularity", pair=[a, b])
+            return failing(check, g, clause="merged-regularity", pair=[a, b])
         if not _merged_coloring_is_proper(mg, colored):
-            return fail(clause="merged-coloring", pair=[a, b])
+            return failing(check, g, clause="merged-coloring", pair=[a, b])
     return passing(check, pairs=len(pairs))
 
 
@@ -306,27 +300,14 @@ def verify_corollary_entry(g: Graph) -> VerificationReport:
     """At most one vertex outside a full-deficiency pair may have degree
     Delta - 1 (requires the pair edge critical and the degree bound)."""
     check = "corollary-near-full-uniqueness"
-    delta = g.max_degree()
     pairs = full_deficiency_pairs(g)
-    if not pairs or 4 * delta < 3 * (g.n - 1):
+    if not pairs or not meets_degree_bound(g.max_degree(), g.n):
         return vacuous(check, reason="hypothesis-unmet")
-    met = 0
-    for a, b in pairs:
-        met += 1
-        near = [
-            x for x in range(g.n) if x not in (a, b) and g.degree(x) == delta - 1
-        ]
+    for met, (a, b) in enumerate(pairs, 1):
+        near = near_full_vertices(g, a, b)
         if len(near) > 1:
-            return failing(
-                check,
-                counterexample={
-                    "graph6": to_graph6(g),
-                    "pair": [a, b],
-                    "near_full_vertices": near,
-                },
-                met=met,
-            )
-    return passing(check, met=met)
+            return failing(check, g, met=met, pair=[a, b], near_full_vertices=near)
+    return passing(check, met=len(pairs))
 
 
 def verify_corollary(corpus: tuple[Graph, ...]) -> VerificationReport:
@@ -387,10 +368,9 @@ def lemma_sweep(
                 for kp in find_kierstead_paths(col, 3):
                     _accumulate(acc, check_kierstead4(col, kp))
                 for kp in find_kierstead_paths(col, 4):
-                    _accumulate(acc, check_k5_claims(col, kp))
-                    a, b, _, _, t = kp.vertices
-                    overlap = col.missing(t) & (col.missing(a) | col.missing(b))
-                    if len(overlap) >= 3:
+                    rep = check_k5_claims(col, kp)
+                    _accumulate(acc, rep)
+                    if rep.details["overlap3_met"]:
                         k5_instances.append((g, e, seed, kp, col))
                 for wit in find_structure_witnesses(col, "shortkite"):
                     _accumulate(acc, check_shortkite(col, wit))
@@ -415,21 +395,17 @@ def verify_normalization(instances: list[K5Instance]) -> VerificationReport:
     check = "kierstead5-normalization"
     if not instances:
         return vacuous(check, reason="no-instances-in-corpus")
-    met = 0
-    for g, e, seed, kp, col in instances:
-        met += 1
+    for met, (g, e, seed, kp, col) in enumerate(instances, 1):
 
         def fail(reason: str) -> VerificationReport:
             return failing(
                 check,
-                counterexample={
-                    "graph6": to_graph6(g),
-                    "edge": list(e),
-                    "seed": seed,
-                    "path": list(kp.vertices),
-                    "reason": reason,
-                },
+                col,
                 met=met,
+                edge=list(e),
+                seed=seed,
+                path=list(kp.vertices),
+                reason=reason,
             )
 
         try:
@@ -463,7 +439,7 @@ def verify_normalization(instances: list[K5Instance]) -> VerificationReport:
         deg_ok = g.degree(b) == g.max_degree() and g.degree(u) == g.max_degree()
         if not deg_ok:
             return fail("inner-degree consequence violated")
-    return passing(check, met=met, instances=met)
+    return passing(check, met=len(instances), instances=len(instances))
 
 
 # ---------------------------------------------------------------------------
@@ -479,7 +455,6 @@ class SuiteConfig:
     suite: str = "default"
     n_max: int = 8
     seeds: int = 8
-    out_dir: str | None = None
 
 
 @dataclass
@@ -515,10 +490,9 @@ class SuiteResult:
 
 
 def run_suite(config: SuiteConfig) -> SuiteResult:
-    """Execute the requested verification suite and optionally write one
-    JSON document per check plus a summary, deterministically. A config
-    that would make every check vacuous is a `ValueError`, raised before
-    any work."""
+    """Execute the requested verification suite; `write_reports` writes
+    its result. A config that would make every check vacuous is a
+    `ValueError`, raised before any work."""
     if config.suite not in SUITES:
         raise ValueError(
             f"unknown suite {config.suite!r} (expected one of {', '.join(SUITES)})"
@@ -544,11 +518,7 @@ def run_suite(config: SuiteConfig) -> SuiteResult:
         reports.extend(sweep)
         reports.append(parity_sweep(config.n_max))
         reports.append(verify_normalization(k5_instances))
-
-    result = SuiteResult(reports, config)
-    if config.out_dir:
-        write_reports(result, Path(config.out_dir))
-    return result
+    return SuiteResult(reports, config)
 
 
 def write_reports(result: SuiteResult, out_dir: Path) -> None:

@@ -457,22 +457,8 @@ def replay_proof_script(
     try:
         result, trace = apply_script(col, script)
     except ScriptError as exc:
-        return failing(
-            check,
-            counterexample={
-                "step": exc.step_index,
-                "reason": exc.reason,
-                "coloring": col.serialize(),
-            },
-        )
+        return failing(check, col, step=exc.step_index, reason=exc.reason)
     ok = result.validate() and (expect == "proper-partial" or result.is_full())
     if ok:
         return passing(check, steps=len(script), expect=expect)
-    return failing(
-        check,
-        counterexample={
-            "reason": f"expectation {expect} not met",
-            "final": result.serialize(),
-            "trace": trace,
-        },
-    )
+    return failing(check, result, reason=f"expectation {expect} not met", trace=trace)

@@ -1,6 +1,7 @@
 """Machine-readable outcomes of lemma/theorem checks.
 
-A failing report always carries a counterexample payload; sweeps count
+A failing report always carries a counterexample payload, built by
+`failing` from the host graph or coloring the check was given; sweeps count
 hypothesis-met and vacuous instances separately so that a suite that never
 fires a hypothesis is flagged rather than silently green.
 """
@@ -10,6 +11,9 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, field
 from typing import Iterable
+
+from .coloring import PartialEdgeColoring
+from .graph import Graph, to_graph6
 
 
 @dataclass
@@ -90,7 +94,22 @@ def vacuous(check: str, **details) -> VerificationReport:
     return VerificationReport(check, True, vacuous=1, details=details)
 
 
-def failing(check: str, counterexample: dict, met: int = 1, **details) -> VerificationReport:
+def failing(
+    check: str,
+    host: Graph | PartialEdgeColoring,
+    met: int = 1,
+    details: dict | None = None,
+    **evidence,
+) -> VerificationReport:
+    """A failing report whose counterexample is the host's graph6, the
+    host's serialized coloring when it is a coloring, and the evidence."""
+    if isinstance(host, PartialEdgeColoring):
+        evidence = {"coloring": host.serialize(), **evidence}
+        host = host.graph
     return VerificationReport(
-        check, False, hypothesis_met=met, details=details, counterexample=counterexample
+        check,
+        False,
+        hypothesis_met=met,
+        details=details or {},
+        counterexample={"graph6": to_graph6(host), **evidence},
     )

@@ -11,7 +11,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .coloring import PartialEdgeColoring
-from .graph import Graph, distance_to_set, edge_key, to_graph6
+from .graph import (
+    Graph, distance_to_set, edge_key, meets_degree_bound, near_full_vertices,
+)
 from .report import VerificationReport, failing, passing, vacuous
 
 
@@ -224,16 +226,7 @@ def check_fan_lemmas(
     r = fan.center
 
     def fail(clause: str, **info) -> VerificationReport:
-        return failing(
-            check,
-            counterexample={
-                "clause": clause,
-                "graph6": to_graph6(col.graph),
-                "coloring": col.serialize(),
-                "fan": list(fan.vertices),
-                **info,
-            },
-        )
+        return failing(check, col, clause=clause, fan=list(fan.vertices), **info)
 
     if not col.is_elementary(fan.vertices):
         return fail("elementary")
@@ -371,13 +364,10 @@ def check_kierstead4(
         return passing(check, elementary_cases=int(elementary_required))
     return failing(
         check,
-        counterexample={
-            "clause": "elementary" if not ok_a else "overlap-bound",
-            "graph6": to_graph6(g),
-            "coloring": col.serialize(),
-            "path": list(kp.vertices),
-            "overlap": sorted(overlap),
-        },
+        col,
+        clause="elementary" if not ok_a else "overlap-bound",
+        path=list(kp.vertices),
+        overlap=sorted(overlap),
     )
 
 
@@ -400,22 +390,17 @@ def check_k5_claims(
     overlap = col.missing(t) & root_missing
 
     details = {"overlap3_met": 0, "companion_met": 0}
-    fired = False
 
     if len(overlap) >= 3:
         details["overlap3_met"] = 1
-        fired = True
         if g.degree(b) != delta or g.degree(u) != delta:
             return failing(
                 check,
-                counterexample={
-                    "clause": "inner-degrees",
-                    "graph6": to_graph6(g),
-                    "coloring": col.serialize(),
-                    "path": list(kp.vertices),
-                    "degrees": [g.degree(b), g.degree(u)],
-                },
-                **details,
+                col,
+                details=details,
+                clause="inner-degrees",
+                path=list(kp.vertices),
+                degrees=[g.degree(b), g.degree(u)],
             )
 
     if len(overlap) >= 4:
@@ -427,21 +412,17 @@ def check_k5_claims(
             if not col.missing(x) <= root_missing:
                 continue
             details["companion_met"] += 1
-            fired = True
             if g.degree(x) != delta:
                 return failing(
                     check,
-                    counterexample={
-                        "clause": "companion-degree",
-                        "graph6": to_graph6(g),
-                        "coloring": col.serialize(),
-                        "path": list(kp.vertices),
-                        "x": x,
-                        "degree": g.degree(x),
-                    },
-                    **details,
+                    col,
+                    details=details,
+                    clause="companion-degree",
+                    path=list(kp.vertices),
+                    x=x,
+                    degree=g.degree(x),
                 )
-    if fired:
+    if details["overlap3_met"]:  # overlap 4 implies overlap 3
         return passing(check, **details)
     return vacuous(check, **details)
 
@@ -518,6 +499,8 @@ def _find_shortkites(col: PartialEdgeColoring) -> list[StructureWitness]:
 
 def _find_kites(col: PartialEdgeColoring) -> list[StructureWitness]:
     g = col.graph
+    if g.n < 8:
+        return []  # a kite has eight distinct vertices
     found: list[StructureWitness] = []
     for a, b, c, u in _kite_cores(col):
         core = {a, b, c, u}
@@ -595,15 +578,7 @@ def check_shortkite(
     delta = g.max_degree()
     if max(g.degree(x), g.degree(y)) == delta:
         return passing(check)
-    return failing(
-        check,
-        counterexample={
-            "graph6": to_graph6(g),
-            "coloring": col.serialize(),
-            "witness": wit.roles,
-            "degrees": [g.degree(x), g.degree(y)],
-        },
-    )
+    return failing(check, col, witness=wit.roles, degrees=[g.degree(x), g.degree(y)])
 
 
 def check_kite(col: PartialEdgeColoring, wit: StructureWitness) -> VerificationReport:
@@ -620,15 +595,7 @@ def check_kite(col: PartialEdgeColoring, wit: StructureWitness) -> VerificationR
     )
     if len(shared) <= 4:
         return passing(check, shared=len(shared))
-    return failing(
-        check,
-        counterexample={
-            "graph6": to_graph6(col.graph),
-            "coloring": col.serialize(),
-            "witness": wit.roles,
-            "shared": sorted(shared),
-        },
-    )
+    return failing(check, col, witness=wit.roles, shared=sorted(shared))
 
 
 def check_fork_absence(col: PartialEdgeColoring) -> VerificationReport:
@@ -645,14 +612,7 @@ def check_fork_absence(col: PartialEdgeColoring) -> VerificationReport:
             continue
         candidates += 1
         if _is_fork(col, roles):
-            return failing(
-                check,
-                counterexample={
-                    "graph6": to_graph6(g),
-                    "coloring": col.serialize(),
-                    "witness": dict(zip(_ROLES["fork"], roles)),
-                },
-            )
+            return failing(check, col, witness=dict(zip(_ROLES["fork"], roles)))
     if candidates == 0:
         return vacuous(check)
     return passing(check, candidates=candidates)
@@ -674,14 +634,7 @@ def check_val(g: Graph, e: tuple[int, int]) -> VerificationReport:
         have = sum(1 for z in g.neighbors(u) - {v} if g.degree(z) == delta)
         if have < needed:
             return failing(
-                check,
-                counterexample={
-                    "graph6": to_graph6(g),
-                    "edge": [x, y],
-                    "vertex": u,
-                    "delta_neighbors": have,
-                    "needed": needed,
-                },
+                check, g, edge=[x, y], vertex=u, delta_neighbors=have, needed=needed
             )
     return passing(check)
 
@@ -696,15 +649,7 @@ def check_parity(col: PartialEdgeColoring) -> VerificationReport:
     for c in range(1, col.k + 1):
         cnt = sum(1 for v in range(n) if col.is_missing(v, c))
         if cnt % 2 != n % 2:
-            return failing(
-                check,
-                counterexample={
-                    "graph6": to_graph6(col.graph),
-                    "coloring": col.serialize(),
-                    "color": c,
-                    "missing_count": cnt,
-                },
-            )
+            return failing(check, col, color=c, missing_count=cnt)
     return passing(check, colors=col.k)
 
 
@@ -729,15 +674,7 @@ def check_fulldpair_lemma(g: Graph, a: int, b: int) -> VerificationReport:
         return vacuous(check, reason="hypothesis-unmet")
 
     def fail(clause: str, **info) -> VerificationReport:
-        return failing(
-            check,
-            counterexample={
-                "clause": clause,
-                "graph6": to_graph6(g),
-                "pair": [a, b],
-                **info,
-            },
-        )
+        return failing(check, g, clause=clause, pair=[a, b], **info)
 
     joint = (g.neighbors(a) | g.neighbors(b)) - {a, b}
     for x in sorted(joint):
@@ -771,11 +708,9 @@ def check_fulldpair_lemma(g: Graph, a: int, b: int) -> VerificationReport:
         return fail("deficiency-pairing", x=deficient[0])
 
     details = {"corollary_met": 0}
-    if 4 * delta >= 3 * (g.n - 1):
+    if meets_degree_bound(delta, g.n):
         details["corollary_met"] = 1
-        near = [
-            x for x in range(g.n) if x not in (a, b) and g.degree(x) == delta - 1
-        ]
+        near = near_full_vertices(g, a, b)
         if len(near) > 1:
             return fail("near-delta-uniqueness", vertices=near)
     return passing(check, **details)

@@ -164,7 +164,3 @@ def test_builtin_fixtures(pstar, k6, splitk4):
     with pytest.raises(KeyError):
         builtin_fixture("noSuchGraph")
 
-
-def test_adjacency_validation(pstar, splitk4):
-    pstar.validate()
-    splitk4.validate()

@@ -255,8 +255,8 @@ def test_theorem1_suite_builds_no_corpus(monkeypatch):
 
 
 def test_run_suite_lemmas_small(tmp_path: Path):
-    config = SuiteConfig(suite="lemmas", n_max=5, seeds=2, out_dir=str(tmp_path / "r"))
-    result = run_suite(config)
+    result = run_suite(SuiteConfig(suite="lemmas", n_max=5, seeds=2))
+    write_reports(result, tmp_path / "r")
     assert result.exit_code == 0
     assert (tmp_path / "r" / "suite.json").exists()
     manifest = json.loads((tmp_path / "r" / "suite.json").read_text())
@@ -285,7 +285,8 @@ SMALL_DEFAULT_DIGEST = "6c5cd1cf5d248c5e00b2ce28ebb08f2cb40cce37c2ac62498a3fac09
 
 def test_small_default_reports_are_pinned(tmp_path: Path):
     out = tmp_path / "r"
-    result = run_suite(SuiteConfig(suite="default", n_max=6, seeds=2, out_dir=str(out)))
+    result = run_suite(SuiteConfig(suite="default", n_max=6, seeds=2))
+    write_reports(result, out)
     assert result.exit_code == 0
     h = hashlib.sha256()
     for path in sorted(out.iterdir()):
