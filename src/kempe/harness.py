@@ -12,6 +12,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from pathlib import Path
+from typing import Iterator
 
 from .classify import (
     GraphClass,
@@ -62,15 +63,27 @@ from .structures import (
 )
 
 
-def enumerate_graphs(n: int) -> tuple[Graph, ...]:
-    """All simple graphs on n vertices up to isomorphism."""
+def _check_enumeration_budget(n: int) -> None:
     if n > 8:
         raise ValueError("enumeration is budgeted for n <= 8")
+
+
+def enumerate_graphs(n: int) -> tuple[Graph, ...]:
+    """All simple graphs on n vertices up to isomorphism."""
+    _check_enumeration_budget(n)
     return tuple(_graph_from_masks(masks) for masks in enumerate_mask_graphs(n))
 
 
-def enumerate_graphs_upto(n_max: int) -> tuple[Graph, ...]:
-    return tuple(g for n in range(1, n_max + 1) for g in enumerate_graphs(n))
+def enumerate_graphs_upto(n_max: int) -> Iterator[Graph]:
+    """All simple graphs on 1..n_max vertices up to isomorphism, one at a
+    time: each `Graph` is built from its masks when it is reached, so a
+    pass over them never holds them all. The budget is checked at once."""
+    _check_enumeration_budget(n_max)
+    return (
+        _graph_from_masks(masks)
+        for n in range(1, n_max + 1)
+        for masks in enumerate_mask_graphs(n)
+    )
 
 
 def _graph_from_masks(masks: tuple[int, ...]) -> Graph:

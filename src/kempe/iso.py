@@ -4,17 +4,20 @@
 tuple over the leaves of an individualise-refine search (McKay & Piperno,
 *Practical graph isomorphism II*, 2014), with the search pruned by the
 automorphisms its leaves reveal. Two graphs are isomorphic exactly when
-their certificates are equal, and enumeration up to isomorphism keeps a set
-of them. `automorphisms` returns the generators the same search records,
-so a loop over a graph's vertices, edges or neighbor subsets can do its
-work once per orbit (`orbit_representatives`). Adequate for the
-desk-scale enumeration (n <= 8); makes no attempt at large-graph
-performance.
+their certificates are equal. Enumeration up to isomorphism needs less: it
+keeps the set of every leaf form of the graphs it has kept, and a child
+whose first leaf form is in that set is a duplicate, so it follows one
+refinement path per duplicate. `automorphisms` returns the generators the
+same search records, so a loop over a graph's vertices, edges or neighbor
+subsets can do its work once per orbit (`orbit_representatives`).
+Adequate for the desk-scale enumeration (n <= 8); makes no attempt at
+large-graph performance.
 """
 
 from __future__ import annotations
 
 from functools import lru_cache
+from typing import Iterator
 
 Masks = tuple[int, ...]
 Perm = tuple[int, ...]  # vertex v goes to perm[v]
@@ -41,15 +44,18 @@ def refinement_colors(masks: Masks, colors: list[int] | None = None) -> list[int
     if colors is None:
         colors = [len(a) for a in adj]
     # a neighbor of color c adds 1 << (c * width); every count is below
-    # n < 1 << width, so the sum encodes the multiset of neighbor colors
+    # n < 1 << width, so the sum encodes the multiset of neighbor colors,
+    # and a vertex's own color sits above every count of that sum
     width = n.bit_length()
     classes = len(set(colors))
     while True:
         weight = [1 << c * width for c in colors]
-        sigs = [(colors[v], sum([weight[u] for u in adj[v]])) for v in range(n)]
+        own = (max(colors, default=0) + 1) * width
+        sigs = [colors[v] << own | sum([weight[u] for u in adj[v]]) for v in range(n)]
         relabel = {s: i for i, s in enumerate(sorted(set(sigs)))}
         colors = [relabel[s] for s in sigs]
-        if len(relabel) == classes:
+        # a discrete coloring is stable: no confirming round is needed
+        if len(relabel) == classes or len(relabel) == n:
             return colors
         classes = len(relabel)
 
@@ -80,14 +86,18 @@ def orbit_representatives(size: int, generators: list[Perm]) -> list[int]:
     return reps
 
 
-def _search(masks: Masks) -> tuple[Masks, list[Perm]]:
-    """The canonical form and the automorphisms found on the way: the least
-    mask tuple got by relabelling each vertex v to leaf[v], over the
-    discrete colorings `leaf` that refining and individualising each vertex
-    of the first non-singleton cell reach. A leaf with the best form so far
-    gives an automorphism to the best leaf; a vertex in the orbit of an
-    explored sibling under the automorphisms fixing the individualised
-    prefix is not explored. The automorphisms found generate the whole
+def _leaves(masks: Masks, found: list[Perm]) -> Iterator[Masks]:
+    """The forms of the leaves of an individualise-refine search, lazily, in
+    search order: each leaf is a discrete coloring `leaf` that refining and
+    individualising each vertex of the first non-singleton cell reach, and
+    its form is the mask tuple got by relabelling each vertex v to leaf[v].
+    A leaf with the best form so far gives an automorphism to the best leaf,
+    appended to `found`; a vertex in the orbit of an explored sibling under
+    the automorphisms fixing the individualised prefix is not explored. A
+    skipped subtree is the image of an explored one under an automorphism,
+    so the leaves yield every form of the unpruned tree, and since the
+    search is label-equivariant, isomorphic graphs yield the same set of
+    forms. Once the generator is exhausted, `found` generates the whole
     group (McKay, *Practical graph isomorphism*, 1981): along the path to
     the first leaf of the final best form, each vertex that an automorphism
     fixing the prefix can put in place of the path's next vertex is either
@@ -96,9 +106,8 @@ def _search(masks: Masks) -> tuple[Masks, list[Perm]]:
     n = len(masks)
     best: Masks | None = None
     best_leaf: list[int] = []
-    found: list[Perm] = []
 
-    def search(colors: list[int] | None, prefix: list[int]) -> None:
+    def search(colors: list[int] | None, prefix: list[int]) -> Iterator[Masks]:
         nonlocal best, best_leaf
         colors = refinement_colors(masks, colors)
         if len(set(colors)) == n:
@@ -111,6 +120,7 @@ def _search(masks: Masks) -> tuple[Masks, list[Perm]]:
             elif form == best:
                 vertex_at = {c: v for v, c in enumerate(best_leaf)}
                 found.append(tuple(vertex_at[c] for c in colors))
+            yield form
             return
         cell = min(c for c in colors if colors.count(c) > 1)
         explored: list[int] = []
@@ -121,24 +131,28 @@ def _search(masks: Masks) -> tuple[Masks, list[Perm]]:
             if v in _orbit(explored, fixing):
                 continue
             explored.append(v)
-            search([2 * c + (u == v) for u, c in enumerate(colors)], prefix + [v])
+            yield from search(
+                [2 * c + (u == v) for u, c in enumerate(colors)], prefix + [v]
+            )
 
-    search(None, [])
-    return best, found
+    return search(None, [])
 
 
 def certificate(masks: Masks) -> Masks:
-    """The canonical form, a complete invariant: two mask tuples have one
-    certificate exactly when their graphs are isomorphic."""
-    return _search(masks)[0]
+    """The canonical form, a complete invariant: the least form over the
+    search's leaves. Two mask tuples have one certificate exactly when
+    their graphs are isomorphic."""
+    return min(_leaves(masks, []))
 
 
 def automorphisms(masks: Masks) -> list[Perm]:
-    """Generators of the automorphism group: the automorphisms that
-    `certificate`'s search records, each a tuple taking vertex v to
+    """Generators of the automorphism group: the automorphisms that the
+    search behind `certificate` records, each a tuple taking vertex v to
     gamma[v]; empty when the group is trivial. Each is checked to map
     every neighborhood onto the neighborhood of the image vertex."""
-    generators = _search(masks)[1]
+    generators: list[Perm] = []
+    for _ in _leaves(masks, generators):
+        pass
     for gamma in generators:
         for v, mask in enumerate(masks):
             if sum([1 << gamma[u] for u in _bits(mask)]) != masks[gamma[v]]:
@@ -165,13 +179,17 @@ def _subset_action(gamma: Perm) -> Perm:
 def enumerate_mask_graphs(n: int) -> tuple[Masks, ...]:
     """All simple graphs on n vertices up to isomorphism, as adjacency-mask
     tuples, by augmenting the (n-1)-vertex list with one new vertex and
-    keeping each child whose certificate is new. A parent automorphism
-    taking one neighbor subset to another makes their children isomorphic,
-    so only the least subset of each orbit under the parent's
-    `automorphisms` is tried (McKay, *Isomorph-free exhaustive
-    generation*, 1998): a skipped subset's child has the certificate of
-    one tried before it, so the output is that of trying every subset.
-    The result is an immutable tuple, so callers cannot alter the cache."""
+    keeping each child that is isomorphic to no child kept before it. Every
+    labelling of a graph has the same set of leaf forms (`_leaves`), and
+    graphs that are not isomorphic share none, so a child is new exactly
+    when its first leaf form is not among the forms of the kept children;
+    those of a kept child are all added. A parent automorphism taking one
+    neighbor subset to another makes their children isomorphic, so only
+    the least subset of each orbit under the parent's `automorphisms` is
+    tried (McKay, *Isomorph-free exhaustive generation*, 1998): a skipped
+    subset's child is isomorphic to one tried before it, so the output is
+    that of trying every subset. The result is an immutable tuple, so
+    callers cannot alter the cache."""
     if n < 0:
         raise ValueError("n must be non-negative")
     if n in _ENUM_CACHE:
@@ -190,9 +208,11 @@ def enumerate_mask_graphs(n: int) -> tuple[Masks, ...]:
                 parent[v] | (1 << new if subset >> v & 1 else 0)
                 for v in range(new)
             ) + (subset,)
-            key = certificate(child)
-            if key not in seen:
-                seen.add(key)
+            leaves = _leaves(child, [])
+            first = next(leaves)
+            if first not in seen:
                 out.append(child)
+                seen.add(first)
+                seen.update(leaves)
     _ENUM_CACHE[n] = tuple(out)
     return _ENUM_CACHE[n]

@@ -19,6 +19,7 @@ from kempe.harness import (
     class1_regular_family,
     delta_critical_corpus,
     enumerate_graphs,
+    enumerate_graphs_upto,
     lemma_sweep,
     parity_sweep,
     round_robin_one_factorization,
@@ -64,6 +65,25 @@ def test_enumeration_result_is_immutable():
 def test_enumeration_budget():
     with pytest.raises(ValueError):
         enumerate_graphs(9)
+    with pytest.raises(ValueError):
+        enumerate_graphs_upto(9)  # at once, before any graph is enumerated
+
+
+def test_enumerate_graphs_upto_streams(monkeypatch):
+    """The corpus pass gets each graph as it reaches it: the first graph
+    comes before any larger order is enumerated."""
+    orders = []
+
+    def recorded(n):
+        orders.append(n)
+        return enumerate_mask_graphs(n)
+
+    monkeypatch.setattr(harness, "enumerate_mask_graphs", recorded)
+    graphs = enumerate_graphs_upto(6)
+    assert next(graphs).n == 1
+    assert orders == [1]
+    assert sum(1 for _ in graphs) == sum(KNOWN_GRAPH_COUNTS[n] for n in range(1, 7)) - 1
+    assert orders == list(range(1, 7))
 
 
 def test_enumeration_members_distinct(critical_corpus_small):

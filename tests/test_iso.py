@@ -8,15 +8,17 @@ from itertools import combinations
 
 import networkx as nx
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from kempe.graph import Graph
 import kempe.iso as iso
 from kempe.iso import (
+    _leaves,
     automorphisms,
     certificate,
     enumerate_mask_graphs,
     masks_isomorphic,
+    refinement_colors,
 )
 
 
@@ -107,6 +109,64 @@ def test_isomorphic_matches_networkx_on_random_pairs(g, h):
     assert masks_isomorphic(g.adjacency_masks(), h.adjacency_masks()) == nx.is_isomorphic(
         to_nx(g), to_nx(h)
     )
+
+
+def confirming_refinement(masks: tuple[int, ...], colors: list[int]) -> list[int]:
+    """Refine by (own color, neighbor-color counts from the highest color
+    down) until a round splits no class, however many classes there are,
+    and number the classes in sorted order of signature."""
+    n = len(masks)
+    classes = len(set(colors))
+    while True:
+        top = max(colors, default=0)
+        sigs = [
+            (
+                colors[v],
+                tuple(
+                    sum(1 for u in range(n) if masks[v] >> u & 1 and colors[u] == c)
+                    for c in range(top, -1, -1)
+                ),
+            )
+            for v in range(n)
+        ]
+        rank = {sig: i for i, sig in enumerate(sorted(set(sigs)))}
+        colors = [rank[sig] for sig in sigs]
+        if len(rank) == classes:
+            return colors
+        classes = len(rank)
+
+
+@given(graphs(), st.randoms(use_true_random=False))
+@settings(max_examples=300, deadline=None)
+def test_refinement_matches_an_always_confirming_reference(g, rng):
+    """Returning as soon as the coloring is discrete changes no output,
+    also for the colors up to 2n - 1 that individualising produces."""
+    masks = g.adjacency_masks()
+    colors = [rng.randrange(2 * g.n) for _ in range(g.n)]
+    assert refinement_colors(masks, list(colors)) == confirming_refinement(masks, colors)
+    degrees = [bin(m).count("1") for m in masks]
+    assert refinement_colors(masks) == confirming_refinement(masks, degrees)
+
+
+# C3 + C4 and its complement: in a scan of the n <= 7 enumeration, the only
+# graphs where a search exploring just the first vertex of each target cell
+# yields forms that depend on the labelling
+C3_C4 = nx.disjoint_union(nx.cycle_graph(3), nx.cycle_graph(4))
+
+
+@given(graphs(max_n=7), st.randoms(use_true_random=False))
+@example(to_graph(C3_C4), random.Random(0))
+@example(to_graph(nx.complement(C3_C4)), random.Random(0))
+@settings(max_examples=200, deadline=None)
+def test_leaf_forms_are_a_relabelling_invariant(g, rng):
+    """Enumeration keeps a child when its first leaf form is new: that is
+    exact because the pruned search yields the same set of forms for every
+    labelling of a graph, with the certificate its least."""
+    perm = list(range(g.n))
+    rng.shuffle(perm)
+    forms = set(_leaves(g.adjacency_masks(), []))
+    assert set(_leaves(relabel(g, perm).adjacency_masks(), [])) == forms
+    assert min(forms) == certificate(g.adjacency_masks())
 
 
 @pytest.mark.parametrize("name", sorted(SYMMETRIC))
@@ -264,3 +324,24 @@ def every_subset_enumeration(n: int) -> list[tuple[int, ...]]:
 def test_orbit_pruned_enumeration_equals_every_subset():
     for n in range(1, 8):
         assert list(enumerate_mask_graphs(n)) == every_subset_enumeration(n)
+
+
+def test_enumeration_makes_no_certificate_call(monkeypatch):
+    """Duplicates are found by a child's first leaf form, not by a full
+    canonical form; the work is pinned by the refinement count."""
+    expected = every_subset_enumeration(7)
+    calls = []
+    refine = iso.refinement_colors
+
+    def counted(masks, colors=None):
+        calls.append(1)
+        return refine(masks, colors)
+
+    def no_certificate(masks):
+        raise AssertionError("enumeration computed a certificate")
+
+    monkeypatch.setattr(iso, "certificate", no_certificate)
+    monkeypatch.setattr(iso, "refinement_colors", counted)
+    monkeypatch.setattr(iso, "_ENUM_CACHE", {})
+    assert list(enumerate_mask_graphs(7)) == expected
+    assert len(calls) == 20277
