@@ -130,12 +130,11 @@ def find_edge_coloring(
 ) -> PartialEdgeColoring | None:
     """A proper edge k-coloring of g, or None when none exists.
 
-    DFS over edges with most-constrained-edge selection, per-vertex
-    free-color counting, and first-use color symmetry breaking. A seed
-    permutes vertex labels to diversify which coloring is found; the
-    search itself stays deterministic for a fixed seed. Raises
-    BudgetExceededError when the search needs more than node_budget
-    nodes.
+    DFS over edges with most-constrained-edge selection and first-use
+    color symmetry breaking. A seed permutes vertex labels to diversify
+    which coloring is found; the search itself stays deterministic for a
+    fixed seed. Raises BudgetExceededError when the search needs more
+    than node_budget nodes; its partial coloring is in g's labels.
     """
     if k < 0:
         raise ValueError("color count must be non-negative")
@@ -146,19 +145,29 @@ def find_edge_coloring(
     # each color class is a matching with at most floor(n/2) edges
     if g.edge_count() > k * (g.n // 2):
         return None
+    # a colouring holds at most 64 colours: a larger k raises here, so no
+    # search is made for a result that could not be returned
+    col = PartialEdgeColoring(g, k)
 
-    perm = list(range(g.n))
+    h, label = g, range(g.n)
     if seed is not None:
+        perm = list(range(g.n))
         random.Random(seed).shuffle(perm)
-    assignment = _search(g.relabeled(perm), k, node_budget)
+        h = g.relabeled(perm)
+        label = [0] * g.n
+        for v, pv in enumerate(perm):
+            label[pv] = v
+    try:
+        assignment = _search(h, k, node_budget)
+    except BudgetExceededError as exc:
+        exc.partial = {
+            edge_key(label[u], label[v]): c for (u, v), c in exc.partial.items()
+        }
+        raise
     if assignment is None:
         return None
-    col = PartialEdgeColoring(g, k)
-    inv = [0] * g.n
-    for v, pv in enumerate(perm):
-        inv[pv] = v
     for (u, v), c in sorted(assignment.items()):
-        col.color_edge((inv[u], inv[v]), c)
+        col.color_edge((label[u], label[v]), c)
     if not col.validate():
         raise ColoringError("solver returned an improper coloring")
     return col
@@ -167,10 +176,11 @@ def find_edge_coloring(
 def _degeneracy_rank(g: Graph) -> list[int]:
     """Rank by iterated minimum-degree removal; high rank = removed late."""
     deg = list(g.degrees())
-    alive = set(range(g.n))
+    alive = list(range(g.n))
     rank = [0] * g.n
     for r in range(g.n):
-        v = min(alive, key=lambda w: (deg[w], w))
+        # the first of the least degree: ties go to the smallest vertex
+        v = min(alive, key=deg.__getitem__)
         alive.remove(v)
         rank[v] = r
         for w in g.neighbors(v):
@@ -180,59 +190,96 @@ def _degeneracy_rank(g: Graph) -> list[int]:
 
 
 def _search(g: Graph, k: int, node_budget: int) -> dict[Edge, int] | None:
+    """A proper k-colouring of g's edges as a dict, or None; k <= 64.
+
+    Each node takes the first uncoloured edge, in a fixed order, with the
+    fewest colour options and tries them in ascending order; it fails at
+    once when some edge has no option.
+
+    The options are counted without a loop over the edges. Every colour
+    on the DFS path is at most `used`, so the higher colours are free at
+    every vertex, and an uncoloured edge has lim - s options, where
+    lim = min(used + 1, k) is the first-use limit and s counts the
+    distinct colours at its two ends. Edge i keeps s in byte i of the
+    integer `seen`, so colouring an edge raises s on all its neighbours
+    with one addition, and `find` on its bytes, from the highest count
+    down, gives the first most-constrained edge. A byte never overflows:
+    s <= top = min(k, 2 * Delta - 2), and a coloured edge's byte is set
+    to top + 1, above every count searched, and then raised at most
+    2 * Delta - 2 times, so it stays under 256 for Delta <= k <= 64.
+
+    A vertex loses one free colour per coloured edge at it, so its free
+    colours never fall below its uncoloured edges (k >= Delta): a prune
+    on those two counts could never fire, and there is none.
+    """
     edges = g.edges()
     rank = _degeneracy_rank(g)
     # color edges among late-surviving (dense) vertices first
     edges.sort(key=lambda e: (-(rank[e[0]] + rank[e[1]]), e))
+    m = len(edges)
+    at = [0] * g.n  # at[x]: 1 in the byte of each edge at x
+    for i, (u, v) in enumerate(edges):
+        at[u] |= 1 << 8 * i
+        at[v] |= 1 << 8 * i
+    ones = int.from_bytes(b"\1" * m, "little")
+    # free_ends[c]: per edge byte, how many of its ends have c free
+    free_ends = [2 * ones] * (k + 1)
+    top = min(k, 2 * g.max_degree() - 2)
     free = [(1 << k) - 1] * g.n
-    uncolored_deg = list(g.degrees())
-    colors: dict[Edge, int] = {}
+    color = [0] * m
+    path: list[int] = []
     nodes = 0
 
-    def dfs(used: int) -> bool:
-        """Extend the coloring; `used` is the highest color placed so far."""
+    def dfs(used: int, seen: int) -> bool:
+        """Extend the coloring; `used` is the highest color placed so far
+        and `seen` holds the counts for the coloring as it stands."""
         nonlocal nodes
         nodes += 1
         if nodes > node_budget:
-            raise BudgetExceededError(nodes, dict(colors))
+            raise BudgetExceededError(nodes, {edges[i]: color[i] for i in path})
         # the unused colors are interchangeable: offer only the first of them
-        limit = (1 << min(used + 1, k)) - 1
-        best, best_opts, best_count = None, 0, k + 1
-        for e in edges:
-            if e in colors:
-                continue
-            opts = free[e[0]] & free[e[1]] & limit
-            count = opts.bit_count()
-            if count == 0:
-                return False
-            if count < best_count:
-                best, best_opts, best_count = e, opts, count
-        if best is None:
+        lim = used + 1 if used < k else k
+        counts = seen.to_bytes(m, "little")
+        if lim <= top and lim in counts:
+            return False
+        for level in range(min(lim - 1, top), -1, -1):
+            i = counts.find(level)
+            if i >= 0:
+                break
+        else:
             return True
-        u, v = best
-        while best_opts:
-            bit = best_opts & -best_opts
-            best_opts ^= bit
+        u, v = edges[i]
+        opts = free[u] & free[v] & ((1 << lim) - 1)
+        seen += (top + 1 - level) << 8 * i
+        path.append(i)
+        near = at[u] | at[v]
+        ends = at[u] + at[v]
+        while opts:
+            bit = opts & -opts
+            opts ^= bit
             c = bit.bit_length()
-            colors[best] = c
-            free[u] &= ~bit
-            free[v] &= ~bit
-            uncolored_deg[u] -= 1
-            uncolored_deg[v] -= 1
-            if (
-                free[u].bit_count() >= uncolored_deg[u]
-                and free[v].bit_count() >= uncolored_deg[v]
-                and dfs(max(used, c))
-            ):
+            color[i] = c
+            free[u] ^= bit
+            free[v] ^= bit
+            before = free_ends[c]
+            after = free_ends[c] = before - ends
+            # (after | after >> 1) & ones marks the edges with c free at an
+            # end; next to edge i that end is the far one, so they see c anew
+            fresh = near & (after | after >> 1) & ones
+            if dfs(c if c > used else used, seen + fresh):
                 return True
-            del colors[best]
+            free_ends[c] = before
             free[u] |= bit
             free[v] |= bit
-            uncolored_deg[u] += 1
-            uncolored_deg[v] += 1
+        path.pop()
         return False
 
-    return dict(colors) if dfs(0) else None
+    try:
+        return {edges[i]: color[i] for i in path} if dfs(0, 0) else None
+    finally:
+        # dfs refers to itself, so without this its state would wait for
+        # the cycle collector
+        del dfs
 
 
 # ---------------------------------------------------------------------------
@@ -259,11 +306,11 @@ def is_critical_edge(g: Graph, e: tuple[int, int]) -> bool:
     """Does deleting e drop the chromatic index below Delta + 1?
 
     Only meaningful on Class 2 graphs; calling it on a Class 1 graph is a
-    precondition error."""
-    e = edge_key(*e)
+    precondition error, and so is an edge not in g."""
+    h = g.without_edge(e)
     if classify(g) is GraphClass.CLASS1:
         raise ValueError("criticality is defined for Class 2 graphs only")
-    return find_edge_coloring(g.without_edge(e), g.max_degree()) is not None
+    return find_edge_coloring(h, g.max_degree()) is not None
 
 
 def all_edges_critical(g: Graph) -> bool:

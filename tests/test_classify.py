@@ -1,10 +1,13 @@
 from __future__ import annotations
 
+import ast
 import hashlib
 import random
+from pathlib import Path
 
 import pytest
 
+import kempe
 import kempe.classify as classifier
 from kempe.classify import (
     BudgetExceededError,
@@ -118,6 +121,17 @@ def test_critical_edges_pstar(pstar):
 def test_critical_edge_rejects_class1(k4):
     with pytest.raises(ValueError):
         is_critical_edge(k4, (0, 1))
+
+
+def test_critical_edge_rejects_a_non_edge_before_solving(monkeypatch, pstar):
+    solves = []
+    monkeypatch.setattr(
+        classifier, "find_edge_coloring", lambda *args, **kw: solves.append(args)
+    )
+    assert not pstar.has_edge(0, 2)
+    with pytest.raises(ValueError, match="not in graph"):
+        is_critical_edge(pstar, (0, 2))
+    assert solves == []
 
 
 def test_component_edges_not_critical():
@@ -246,6 +260,77 @@ def test_full_search_node_counts(name, nodes, colorable):
     with pytest.raises(BudgetExceededError) as exc:
         find_edge_coloring(g, g.max_degree(), node_budget=nodes - 1)
     assert exc.value.nodes == nodes
+
+
+def flower_snark(k: int) -> Graph:
+    """Isaacs' J_k, with a_i, b_i, c_i, d_i as vertices 4i, ..., 4i + 3:
+    the claws a_i b_i, a_i c_i, a_i d_i, the cycle b_0 ... b_{k-1}, and
+    the 2k-cycle c_0 ... c_{k-1} d_0 ... d_{k-1}."""
+    def vertex(i: int, j: int) -> int:
+        return 4 * (i % k) + j
+
+    edges = [(vertex(i, 0), vertex(i, j)) for i in range(k) for j in (1, 2, 3)]
+    edges += [(vertex(i, 1), vertex(i + 1, 1)) for i in range(k)]
+    ring = [vertex(i, 2) for i in range(k)] + [vertex(i, 3) for i in range(k)]
+    edges += list(zip(ring, ring[1:] + ring[:1]))
+    return Graph(4 * k, edges)
+
+
+@pytest.mark.parametrize("k, nodes", [(9, 7_389), (11, 29_789)])
+def test_snark_refutation_node_counts(k, nodes):
+    """Flower snarks are cubic Class 2 graphs that the edge count does not
+    refute, so the whole search tree is walked: exactly `nodes` nodes."""
+    g = flower_snark(k)
+    assert g.degrees() == (3,) * (4 * k) and g.edge_count() == 3 * (g.n // 2)
+    assert find_edge_coloring(g, 3, node_budget=nodes) is None
+    with pytest.raises(BudgetExceededError) as exc:
+        find_edge_coloring(g, 3, node_budget=nodes - 1)
+    assert exc.value.nodes == nodes
+
+
+def test_seeded_budget_partial_is_in_callers_labels():
+    """A seeded search runs on relabelled vertices; the partial colouring
+    it reports on exhaustion must still colour the caller's graph."""
+    rng = random.Random(5)
+    exhausted = 0
+    while exhausted < 20:
+        pairs = [(u, v) for u in range(9) for v in range(u + 1, 9)]
+        g = Graph(9, [e for e in pairs if rng.random() < 0.5])
+        if not g.edge_count():
+            continue
+        try:
+            find_edge_coloring(g, g.max_degree(), seed=exhausted, node_budget=4)
+        except BudgetExceededError as exc:
+            col = PartialEdgeColoring(g, g.max_degree())
+            for e, c in exc.partial.items():
+                col.color_edge(e, c)
+            assert col.validate()
+            exhausted += 1
+
+
+def test_more_than_64_colours_is_rejected_before_searching(monkeypatch):
+    """No colouring with more than 64 colours can be returned, so such a
+    call raises before it searches."""
+    searches = []
+    monkeypatch.setattr(classifier, "_search", lambda *args: searches.append(args))
+    star = Graph(66, [(0, i) for i in range(1, 66)])
+    with pytest.raises(ValueError, match="0..64"):
+        find_edge_coloring(star, 65)
+    assert searches == []
+
+
+def test_library_has_no_assert_gates():
+    """`python -O` strips assert statements, so no check in the library
+    may be one."""
+    paths = sorted(Path(kempe.__file__).parent.glob("*.py"))
+    assert len(paths) >= 10
+    found = [
+        f"{path.name}:{node.lineno}"
+        for path in paths
+        for node in ast.walk(ast.parse(path.read_text()))
+        if isinstance(node, ast.Assert)
+    ]
+    assert found == []
 
 
 def test_full_colorings_satisfy_parity():

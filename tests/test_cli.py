@@ -50,6 +50,12 @@ def test_critical_edge_and_whole(capsys):
     assert json.loads(out)["delta_critical"] is True
 
 
+def test_critical_non_edge_is_usage_error(capsys):
+    code = main(["critical", "--edge", "0,2", "pstar"])
+    assert code == 2
+    assert "not in graph" in capsys.readouterr().err
+
+
 def test_color_exact_writes_parseable_file(capsys, tmp_path: Path):
     target = tmp_path / "coloring.txt"
     code, _ = run_cli(capsys, "color", "--exact", "--out", str(target), "k4")
