@@ -45,9 +45,6 @@ class KempeChain:
     vertices: tuple[int, ...]
     edges: tuple[Edge, ...]
 
-    def __contains__(self, v: int) -> bool:
-        return v in self.vertices
-
     def has_edge(self, e: tuple[int, int]) -> bool:
         return edge_key(*e) in self.edges
 
@@ -155,7 +152,12 @@ class PartialEdgeColoring:
         if e not in self._assign:
             raise ColoringError(f"edge {e} is not colored")
         self._assign[e] = c
-        for w in (u, v):
+        self._recount(e)
+
+    def _recount(self, vertices: Iterable[int]) -> None:
+        """Rebuild the present-color masks of `vertices` from their edges,
+        which stays right even while a script passes an improper state."""
+        for w in vertices:
             mask = 0
             for z in self.graph.neighbors(w):
                 col = self._assign.get(edge_key(w, z))
@@ -236,22 +238,10 @@ class PartialEdgeColoring:
         self._swap_edges(chain.edges, alpha, beta)
 
     def _swap_edges(self, edges: Sequence[Edge], alpha: int, beta: int) -> None:
-        if not edges:
-            return
-        abit, bbit = 1 << (alpha - 1), 1 << (beta - 1)
-        both = abit | bbit
         for e in edges:
             c = self._assign[e]
             self._assign[e] = beta if c == alpha else alpha
-        for v in e_vertices(edges):
-            mask = 0
-            for u in self.graph.neighbors(v):
-                c = self._assign.get(edge_key(u, v))
-                if c == alpha:
-                    mask |= abit
-                elif c == beta:
-                    mask |= bbit
-            self._present[v] = (self._present[v] & ~both) | mask
+        self._recount({v for e in edges for v in e})
 
     def kempe_swap_at(self, v: int, alpha: int, beta: int) -> KempeChain:
         """Swap the full (alpha, beta)-chain containing v, where v must miss
@@ -413,13 +403,6 @@ def _mask_to_colors(mask: int) -> set[int]:
             out.add(c)
         mask >>= 1
         c += 1
-    return out
-
-
-def e_vertices(edges: Sequence[Edge]) -> set[int]:
-    out: set[int] = set()
-    for e in edges:
-        out.update(e)
     return out
 
 

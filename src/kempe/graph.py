@@ -69,7 +69,10 @@ class Graph:
         return v in self._adj[u]
 
     def edges(self) -> list[Edge]:
-        return [(u, v) for u in range(self.n) for v in self._adj[u] if u < v]
+        """All edges as (u, v) with u < v, sorted: a frozenset's iteration
+        order can follow insertion order, so equal graphs built from
+        permuted edge lists would otherwise list their edges differently."""
+        return sorted([(u, v) for u in range(self.n) for v in self._adj[u] if u < v])
 
     def edge_count(self) -> int:
         return sum(len(s) for s in self._adj) // 2

@@ -1,10 +1,12 @@
 """Corpus construction and end-to-end empirical verification.
 
-Builds the small-graph corpora (complete enumeration up to isomorphism,
-certified Class 1 regular families), runs every structure check across
-them, and verifies the two splitting/overfull theorems plus the
-near-full-degree corollary. Report files are deterministic byte-for-byte
-for a fixed (config, seed): they carry work counts, never wall times.
+Builds the small-graph corpus (complete enumeration up to isomorphism),
+runs every structure check across it, and verifies the two
+splitting/overfull theorems plus the near-full-degree corollary. The
+vertex-splitting theorem takes a Delta-coloring of each host as its
+Class 1 certificate: K4 and K6 come with their round-robin colorings.
+Report files are deterministic byte-for-byte for a fixed (config, seed):
+they carry work counts, never wall times.
 """
 
 from __future__ import annotations
@@ -15,14 +17,12 @@ from pathlib import Path
 from typing import Iterator
 
 from .classify import (
-    GraphClass,
     all_edges_critical,
-    classify,
     delta_coloring_of_minus_e,
     find_edge_coloring,
     is_delta_critical,
 )
-from .coloring import ColoringError, PartialEdgeColoring
+from .coloring import PartialEdgeColoring
 from .graph import (
     Graph,
     Multigraph,
@@ -136,12 +136,8 @@ def parity_sweep(n_max: int) -> VerificationReport:
 
 
 # ---------------------------------------------------------------------------
-# Certified Class 1 regular families
+# Theorem checks
 # ---------------------------------------------------------------------------
-
-
-class FamilyError(ValueError):
-    """The requested family member is not a regular Class 1 graph."""
 
 
 def round_robin_one_factorization(n: int) -> PartialEdgeColoring:
@@ -156,49 +152,7 @@ def round_robin_one_factorization(n: int) -> PartialEdgeColoring:
         col.color_edge((n - 1, r), r + 1)
         for i in range(1, n // 2):
             col.color_edge(((r + i) % m, (r - i) % m), r + 1)
-    if not (col.is_full() and col.validate()):
-        raise ColoringError("round robin did not produce a proper full coloring")
     return col
-
-
-def class1_regular_family(kind: str, *params: int) -> Graph:
-    """A certified Delta-regular Class 1 graph.
-
-    Kinds: complete-even(n) (certified by the round-robin construction),
-    bipartite-regular(d) (the d-cube; solver certified), circulant(n,
-    *offsets) (solver certified). Raises FamilyError when the member is
-    not regular Class 1."""
-    from .graph import hypercube_graph
-
-    if kind == "complete-even":
-        (n,) = params
-        if n % 2:
-            raise FamilyError("complete graphs are Class 1 only for even order")
-        round_robin_one_factorization(n)  # construction is the certificate
-        return complete_graph(n)
-    if kind == "bipartite-regular":
-        (d,) = params
-        g = hypercube_graph(d)
-    elif kind == "circulant":
-        n, *offsets = params
-        edges = set()
-        for v in range(n):
-            for off in offsets:
-                edges.add(tuple(sorted((v, (v + off) % n))))
-        g = Graph(n, sorted(edges))
-    else:
-        raise ValueError(f"unknown family kind {kind!r}")
-    degs = set(g.degrees())
-    if len(degs) != 1:
-        raise FamilyError("family member is not regular")
-    if classify(g) is not GraphClass.CLASS1:
-        raise FamilyError("family member is Class 2")
-    return g
-
-
-# ---------------------------------------------------------------------------
-# Theorem checks
-# ---------------------------------------------------------------------------
 
 
 def _lesser_half(g: Graph, v: int, part: frozenset[int]) -> frozenset[int]:
@@ -234,16 +188,24 @@ def _split_specs(g: Graph) -> list[SplitSpec]:
     return [specs[i] for i in orbit_representatives(len(specs), actions)]
 
 
-def verify_theorem1(g: Graph) -> VerificationReport:
+def verify_theorem1(host: PartialEdgeColoring) -> VerificationReport:
     """Splitting a vertex of a Delta-regular Class 1 graph with
     Delta >= 3(n_split - 1)/4 must always produce a Delta-critical graph
-    (n_split counts the graph after the split)."""
+    (n_split counts the graph after the split). `host` certifies its graph
+    Class 1: it must be a full proper Delta-coloring of a regular graph,
+    or this raises `ValueError` before any split."""
     check = "theorem-vertex-splitting"
-    degs = set(g.degrees())
-    if len(degs) != 1:
-        raise ValueError("input must be regular")
-    if classify(g) is not GraphClass.CLASS1:
-        raise ValueError("input must be Class 1")
+    g = host.graph
+    if len(set(g.degrees())) != 1:
+        raise ValueError("host graph must be regular")
+    if not host.is_full():
+        raise ValueError("host coloring must color every edge")
+    if not host.validate():
+        raise ValueError("host coloring must be proper")
+    if host.k != g.max_degree():
+        raise ValueError(
+            f"host coloring has {host.k} colors, not Delta = {g.max_degree()}"
+        )
     if not meets_degree_bound(g.max_degree(), g.n + 1):
         return vacuous(check, reason="degree-bound-unmet")
     splits = 0
@@ -393,7 +355,7 @@ def lemma_sweep(
     for name in SWEEP_CHECKS:
         if name not in acc:
             acc[name] = vacuous(name, reason="no-instances-in-corpus")
-    return [acc[name] for name in SWEEP_CHECKS if name in acc], k5_instances
+    return [acc[name] for name in SWEEP_CHECKS], k5_instances
 
 
 # ---------------------------------------------------------------------------
@@ -517,7 +479,7 @@ def run_suite(config: SuiteConfig) -> SuiteResult:
     reports: list[VerificationReport] = []
     if config.suite in ("default", "theorem1"):
         for n in (4, 6):
-            rep = verify_theorem1(complete_graph(n))
+            rep = verify_theorem1(round_robin_one_factorization(n))
             rep.check = f"theorem-vertex-splitting-K{n}"
             reports.append(rep)
     if config.suite in ("default", "theorem2"):

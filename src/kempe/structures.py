@@ -95,9 +95,6 @@ class StructureWitness:
     kind: str
     roles: dict[str, int]
 
-    def __hash__(self) -> int:  # roles dict is small and fixed per kind
-        return hash((self.kind, tuple(sorted(self.roles.items()))))
-
     def role_tuple(self, *names: str) -> tuple[int, ...]:
         return tuple(self.roles[n] for n in names)
 
@@ -188,14 +185,10 @@ def alpha_sequences(
     # color precedence: anchors first, then ancestor relations in the
     # induction forest
     precedes: set[tuple[int, int]] = set()
-    induced_colors: dict[int, set[int]] = {}
     for seq in sequences:
-        colors = {seq.anchor}
         for v in seq.vertices:
-            colors |= col.missing(v)
-        induced_colors[seq.anchor] = colors
-        for c in colors - {seq.anchor}:
-            precedes.add((seq.anchor, c))
+            for c in col.missing(v):
+                precedes.add((seq.anchor, c))
 
     def ancestors(v: int) -> list[int]:
         out = []
@@ -242,7 +235,6 @@ def check_fan_lemmas(
     seqs, precedes = alpha_sequences(col, fan)
     anchor: dict[int, int] = {}
     for seq in seqs:
-        anchor[seq.anchor] = seq.anchor
         for v in seq.vertices:
             for c in col.missing(v):
                 anchor[c] = seq.anchor
@@ -259,12 +251,9 @@ def check_fan_lemmas(
                 for lam in sorted(col.missing(sj)):
                     if delta == lam:
                         continue
-                    a_d, a_l = anchor.get(delta), anchor.get(lam)
-                    if a_d is None or a_l is None:
-                        continue
                     pairs_checked += 1
                     linked = col.are_linked(si, sj, delta, lam)
-                    if a_d != a_l:
+                    if anchor[delta] != anchor[lam]:
                         if not linked:
                             return fail(
                                 "distinct-inducer-linkage",

@@ -20,7 +20,27 @@ from kempe.graph import (
     is_overfull,
     split_vertex,
 )
+from kempe.classify import vizing_plus_one_coloring
+from kempe.coloring import PartialEdgeColoring
 from kempe.iso import enumerate_mask_graphs
+
+
+def test_edges_do_not_depend_on_build_order():
+    """Equal graphs list their edges in the same sorted order however they
+    were built, so a coloring serializes the same way on either, and the
+    fan-rotation coloring, which colors edges in that order, is the same."""
+    a, b = Graph(10, [(0, 9), (0, 1)]), Graph(10, [(0, 1), (0, 9)])
+    assert a == b
+    assert a.edges() == b.edges() == [(0, 1), (0, 9)]
+    col = vizing_plus_one_coloring(a)
+    assert vizing_plus_one_coloring(b) == col
+    twin = PartialEdgeColoring(b, col.k)
+    for e, c in col.colored_edges().items():
+        twin.color_edge(e, c)
+    assert twin.serialize() == col.serialize()
+    for name in ("petersen", "pstar"):
+        g = builtin_fixture(name)
+        assert g.edges() == sorted(g.edges())
 
 
 def test_max_degree_fixtures(triangle, pstar, splitk4):

@@ -10,13 +10,11 @@ import pytest
 import kempe
 import kempe.classify as classifier
 import kempe.harness as harness
-from kempe.classify import GraphClass, classify
-from kempe.graph import builtin_fixture, complete_graph, cycle_graph
+from kempe.classify import classify, find_edge_coloring, vizing_plus_one_coloring
+from kempe.graph import builtin_fixture, complete_graph, cycle_graph, hypercube_graph
 from kempe.harness import (
-    FamilyError,
     SuiteConfig,
     _split_specs,
-    class1_regular_family,
     delta_critical_corpus,
     enumerate_graphs,
     enumerate_graphs_upto,
@@ -102,22 +100,25 @@ def test_round_robin_one_factorization():
         round_robin_one_factorization(5)
 
 
-def test_class1_families():
-    assert class1_regular_family("complete-even", 4) == complete_graph(4)
-    assert class1_regular_family("complete-even", 6) == complete_graph(6)
-    cube = class1_regular_family("bipartite-regular", 3)
-    assert classify(cube) is GraphClass.CLASS1
-    ring = class1_regular_family("circulant", 8, 1, 4)
-    assert set(ring.degrees()) == {3}
-    with pytest.raises(FamilyError):
-        class1_regular_family("complete-even", 5)
-    with pytest.raises(FamilyError):
-        class1_regular_family("circulant", 5, 1)  # C5 is Class 2
-
-
 def test_theorem1_k4():
-    rep = verify_theorem1(complete_graph(4))
+    rep = verify_theorem1(round_robin_one_factorization(4))
     assert rep.passed and rep.fired
+
+
+def test_theorem1_does_not_solve_its_host(monkeypatch):
+    """The host's coloring is its Class 1 certificate: the solver sees
+    only the split graphs and their edge deletions, never the host."""
+    solved = []
+
+    def recording(g, k, **kwargs):
+        solved.append(g)
+        return find_edge_coloring(g, k, **kwargs)
+
+    monkeypatch.setattr(classifier, "find_edge_coloring", recording)
+    rep = verify_theorem1(round_robin_one_factorization(6))
+    assert rep.passed and rep.fired
+    assert solved
+    assert all(g.n == 7 for g in solved)
 
 
 # _split_specs of K4, K6, K8 and K10 before the specs were cut to one per
@@ -137,16 +138,33 @@ def test_complete_graph_split_specs(n):
     assert [(s.vertex, set(s.part_one)) for s in specs] == COMPLETE_SPLITS[n]
 
 
-def test_theorem1_rejects_bad_inputs():
-    with pytest.raises(ValueError):
-        verify_theorem1(cycle_graph(5))  # regular but Class 2
-    with pytest.raises(ValueError):
-        verify_theorem1(builtin_fixture("splitk4"))  # not regular
+def test_theorem1_rejects_bad_inputs(monkeypatch):
+    """Each host breaks one clause of the certificate, and is rejected
+    before any split."""
+    unfinished = round_robin_one_factorization(4)
+    unfinished.uncolor_edge((0, 1))
+    improper = round_robin_one_factorization(4)
+    a = improper.color_of((0, 1))
+    improper.swap_explicit_path((0, 1), a, a % 3 + 1)  # clashes at 0 and 1
+    bad_hosts = [
+        (vizing_plus_one_coloring(cycle_graph(5)), "3 colors, not Delta = 2"),
+        (vizing_plus_one_coloring(builtin_fixture("splitk4")), "must be regular"),
+        (unfinished, "must color every edge"),
+        (improper, "must be proper"),
+        (find_edge_coloring(complete_graph(4), 4), "4 colors, not Delta = 3"),
+    ]
+
+    def no_split(*args, **kwargs):
+        raise AssertionError("verify_theorem1 split a host it should reject")
+
+    monkeypatch.setattr(harness, "split_vertex", no_split)
+    for host, message in bad_hosts:
+        with pytest.raises(ValueError, match=message):
+            verify_theorem1(host)
 
 
 def test_theorem1_vacuous_below_degree_bound():
-    cube = class1_regular_family("bipartite-regular", 3)
-    rep = verify_theorem1(cube)
+    rep = verify_theorem1(find_edge_coloring(hypercube_graph(3), 3))
     assert rep.passed and not rep.fired
 
 

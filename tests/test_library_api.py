@@ -1,0 +1,69 @@
+"""The library has no unused public API: every public top-level function
+and class of `kempe` is referenced by other library code, or is listed in
+`KEPT` with the reason it stays."""
+
+from __future__ import annotations
+
+import ast
+from pathlib import Path
+
+import kempe
+
+# name -> why it stays without a library caller
+KEPT = {
+    "parse_coloring": "reads back the colorings in counterexample records",
+    "masks_isomorphic": "a benchmark LAYERS name and an isomorphism test reference",
+    "replay_proof_script": "kept by the ROADMAP for its documented, tested replay",
+}
+
+
+def unreferenced_public_names(package: Path) -> set[str]:
+    """Public top-level functions and classes of the package's modules
+    (`__init__.py` aside) that no other library code names. A reference is
+    an `ast.Name` or `ast.Attribute` outside the definition itself, so an
+    import, a docstring or a recursive call does not count."""
+    trees = [
+        ast.parse(path.read_text())
+        for path in sorted(package.glob("*.py"))
+        if path.name != "__init__.py"
+    ]
+    defined: set[str] = set()
+    referenced: set[str] = set()
+    for tree in trees:
+        for top in tree.body:
+            own = None
+            if isinstance(top, (ast.FunctionDef, ast.ClassDef)):
+                own = top.name
+                if not own.startswith("_"):
+                    defined.add(own)
+            for node in ast.walk(top):
+                if isinstance(node, ast.Name):
+                    name = node.id
+                elif isinstance(node, ast.Attribute):
+                    name = node.attr
+                else:
+                    continue
+                if name != own:
+                    referenced.add(name)
+    return defined - referenced
+
+
+def test_no_unused_public_api():
+    package = Path(kempe.__file__).parent
+    assert unreferenced_public_names(package) == set(KEPT)
+
+
+def test_an_unused_function_is_found(tmp_path: Path):
+    """The walk counts code, not words: a name that only a docstring, an
+    import or its own body mentions is unused."""
+    (tmp_path / "a.py").write_text(
+        "def used():\n    return 1\n\n\n"
+        "def lonely(n):\n    return lonely(n - 1) if n else used()\n"
+    )
+    (tmp_path / "b.py").write_text(
+        '"""lonely is documented here."""\n'
+        "from .a import lonely, used\n\n\n"
+        "class Public:\n    pass\n\n\n"
+        "def _private():\n    return Public, used\n"
+    )
+    assert unreferenced_public_names(tmp_path) == {"lonely"}
