@@ -136,13 +136,10 @@ class PartialEdgeColoring:
         self._present[v] |= bit
 
     def uncolor_edge(self, e: tuple[int, int]) -> None:
-        u, v = e = edge_key(*e)
-        c = self._assign.pop(e, None)
-        if c is None:
+        e = edge_key(*e)
+        if self._assign.pop(e, None) is None:
             raise ColoringError(f"edge {e} is not colored")
-        bit = 1 << (c - 1)
-        self._present[u] &= ~bit
-        self._present[v] &= ~bit
+        self._recount(e)
 
     def _set_color_raw(self, e: tuple[int, int], c: int) -> None:
         """Recolor without the propriety precondition (script transactions

@@ -318,6 +318,46 @@ def _accumulate(acc: dict[str, VerificationReport], rep: VerificationReport) -> 
 # (graph, deleted edge, seed, 5-vertex Kierstead path, coloring of graph - edge)
 K5Instance = tuple[Graph, tuple[int, int], int, KiersteadPath, PartialEdgeColoring]
 
+# folded reports of one coloring of G - e, and its overlap-3 5-vertex paths
+_ColoringResult = tuple[list[VerificationReport], list[KiersteadPath]]
+
+
+def _coloring_reports(col: PartialEdgeColoring, e: tuple[int, int]) -> _ColoringResult:
+    """Every coloring-level check on one coloring of G - e, folded into one
+    report per check in first-seen order, and the 5-vertex Kierstead paths
+    whose far end shares at least 3 missing colors with the root pair.
+    Renaming the colors changes neither, so the result stands for every
+    coloring with the same `_color_class_key`."""
+    acc: dict[str, VerificationReport] = {}
+    overlap3: list[KiersteadPath] = []
+    for r, s1 in (e, e[::-1]):
+        fan = grow_multifan(col, r, s1)
+        _accumulate(acc, check_fan_lemmas(col, fan))
+    for kp in find_kierstead_paths(col, 3):
+        _accumulate(acc, check_kierstead4(col, kp))
+    for kp in find_kierstead_paths(col, 4):
+        rep = check_k5_claims(col, kp)
+        _accumulate(acc, rep)
+        if rep.details["overlap3_met"]:
+            overlap3.append(kp)
+    for wit in find_structure_witnesses(col, "shortkite"):
+        _accumulate(acc, check_shortkite(col, wit))
+    for wit in find_structure_witnesses(col, "kite"):
+        _accumulate(acc, check_kite(col, wit))
+    _accumulate(acc, check_fork_absence(col))
+    return list(acc.values()), overlap3
+
+
+def _color_class_key(col: PartialEdgeColoring, edges: list[tuple[int, int]]) -> bytes:
+    """The color of each of `edges` in order, with the colors renamed by
+    first appearance and 0 for an uncolored edge: two colorings of one
+    graph get the same key iff they differ only in the names of colors."""
+    names: dict[int, int] = {}
+    return bytes(
+        0 if c is None else names.setdefault(c, len(names) + 1)
+        for c in map(col.color_of, edges)
+    )
+
 
 def lemma_sweep(
     corpus: tuple[Graph, ...], seeds: int = 8
@@ -326,32 +366,36 @@ def lemma_sweep(
     lemmas once per graph, coloring-level checks for `seeds` colorings of
     each edge deletion. Also returns the 5-vertex Kierstead paths whose
     far end shares at least 3 missing colors with the root pair, each with
-    its coloring, for normalization."""
+    its seed's coloring, for normalization.
+
+    Every seed is solved and counted, but the checks run once per distinct
+    coloring of G - e up to the names of its colors: a seed whose coloring
+    repeats an earlier seed's class replays that class's reports, and its
+    paths are validated on its own coloring. A check failing on a later
+    seed of a class has already failed on the class's first seed, so the
+    first counterexample is the same."""
     acc: dict[str, VerificationReport] = {}
     k5_instances: list[K5Instance] = []
     for g in corpus:
-        for e in g.edges():
+        edges = g.edges()
+        for e in edges:
             _accumulate(acc, check_val(g, e))
         for a, b in full_deficiency_pairs(g):
             _accumulate(acc, check_fulldpair_lemma(g, a, b))
-        for e in g.edges():
+        for e in edges:
+            classes: dict[bytes, _ColoringResult] = {}
             for seed in range(seeds):
                 col = delta_coloring_of_minus_e(g, e, seed=seed)
-                for r, s1 in (e, e[::-1]):
-                    fan = grow_multifan(col, r, s1)
-                    _accumulate(acc, check_fan_lemmas(col, fan))
-                for kp in find_kierstead_paths(col, 3):
-                    _accumulate(acc, check_kierstead4(col, kp))
-                for kp in find_kierstead_paths(col, 4):
-                    rep = check_k5_claims(col, kp)
+                key = _color_class_key(col, edges)
+                if key in classes:
+                    reports, overlap3 = classes[key]
+                    for kp in overlap3:
+                        kp.validate(col)
+                else:
+                    reports, overlap3 = classes[key] = _coloring_reports(col, e)
+                for rep in reports:
                     _accumulate(acc, rep)
-                    if rep.details["overlap3_met"]:
-                        k5_instances.append((g, e, seed, kp, col))
-                for wit in find_structure_witnesses(col, "shortkite"):
-                    _accumulate(acc, check_shortkite(col, wit))
-                for wit in find_structure_witnesses(col, "kite"):
-                    _accumulate(acc, check_kite(col, wit))
-                _accumulate(acc, check_fork_absence(col))
+                k5_instances.extend((g, e, seed, kp, col) for kp in overlap3)
     for name in SWEEP_CHECKS:
         if name not in acc:
             acc[name] = vacuous(name, reason="no-instances-in-corpus")

@@ -3,13 +3,32 @@
 Both counting routes are deliberately separate from the library's
 enumeration: a labeled brute force over every edge subset with
 permutation-minimum dedup, and the orbit-counting (Burnside) formula over
-the symmetric group acting on vertex pairs.
+the symmetric group acting on vertex pairs. The reference lemma sweep runs
+every structure check on every seed's coloring, apart from the library
+sweep's one pass per color class.
 """
 
 from __future__ import annotations
 
 from itertools import combinations, permutations
 from math import factorial
+
+from kempe.graph import full_deficiency_pairs
+from kempe.harness import SWEEP_CHECKS
+from kempe.report import vacuous
+from kempe.structures import (
+    check_fan_lemmas,
+    check_fork_absence,
+    check_fulldpair_lemma,
+    check_k5_claims,
+    check_kierstead4,
+    check_kite,
+    check_shortkite,
+    check_val,
+    find_kierstead_paths,
+    find_structure_witnesses,
+    grow_multifan,
+)
 
 
 def bruteforce_unlabeled_count(n: int) -> int:
@@ -60,3 +79,44 @@ def burnside_unlabeled_count(n: int) -> int:
 
 # A000088: graphs on n unlabeled vertices
 KNOWN_GRAPH_COUNTS = {1: 1, 2: 2, 3: 4, 4: 11, 5: 34, 6: 156, 7: 1044, 8: 12346}
+
+
+def reference_lemma_sweep(corpus, seeds, coloring):
+    """The lemma sweep with no memo: every check runs on `coloring(g, e,
+    seed=seed)` for every edge and seed, and each report is merged in the
+    order it is made. Returns the reports in `SWEEP_CHECKS` order and the
+    (g, e, seed, path, coloring) instances whose 5-vertex path meets the
+    overlap-3 hypothesis."""
+    acc = {}
+    instances = []
+
+    def add(rep):
+        acc[rep.check] = acc[rep.check].merge(rep) if rep.check in acc else rep
+
+    for g in corpus:
+        for e in g.edges():
+            add(check_val(g, e))
+        for a, b in full_deficiency_pairs(g):
+            add(check_fulldpair_lemma(g, a, b))
+        for e in g.edges():
+            for seed in range(seeds):
+                col = coloring(g, e, seed=seed)
+                for r, s1 in (e, e[::-1]):
+                    add(check_fan_lemmas(col, grow_multifan(col, r, s1)))
+                for kp in find_kierstead_paths(col, 3):
+                    add(check_kierstead4(col, kp))
+                for kp in find_kierstead_paths(col, 4):
+                    rep = check_k5_claims(col, kp)
+                    add(rep)
+                    if rep.details["overlap3_met"]:
+                        instances.append((g, e, seed, kp, col))
+                for wit in find_structure_witnesses(col, "shortkite"):
+                    add(check_shortkite(col, wit))
+                for wit in find_structure_witnesses(col, "kite"):
+                    add(check_kite(col, wit))
+                add(check_fork_absence(col))
+    reports = [
+        acc.get(name) or vacuous(name, reason="no-instances-in-corpus")
+        for name in SWEEP_CHECKS
+    ]
+    return reports, instances

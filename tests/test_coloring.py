@@ -19,6 +19,7 @@ from kempe.coloring import (
     parse_coloring,
 )
 from kempe.graph import Graph, builtin_fixture, cycle_graph
+from kempe.harness import round_robin_one_factorization
 
 
 def triangle_minus_ab() -> PartialEdgeColoring:
@@ -47,6 +48,18 @@ def test_uncolor_roundtrip():
     col.uncolor_edge((0, 2))
     with pytest.raises(ColoringError):
         col.uncolor_edge((0, 2))
+
+
+def test_uncolor_after_improper_state_recounts():
+    col = round_robin_one_factorization(4)
+    a = col.color_of((0, 1))
+    col.swap_explicit_path((0, 1), a, a % 3 + 1)  # (0, 1) now clashes at both ends
+    col.uncolor_edge((0, 3))
+    col.uncolor_edge((1, 2))
+    assert col.color_of((0, 1)) == 1
+    assert col.missing(0) == {3}
+    assert col.missing(1) == {3}
+    assert col.validate()
 
 
 def test_elementary():

@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import random
 import types
 from pathlib import Path
 
@@ -10,9 +11,16 @@ import pytest
 import kempe
 import kempe.classify as classifier
 import kempe.harness as harness
-from kempe.classify import classify, find_edge_coloring, vizing_plus_one_coloring
+from kempe.classify import (
+    classify,
+    delta_coloring_of_minus_e,
+    find_edge_coloring,
+    vizing_plus_one_coloring,
+)
+from kempe.coloring import PartialEdgeColoring
 from kempe.graph import builtin_fixture, complete_graph, cycle_graph, hypercube_graph
 from kempe.harness import (
+    SWEEP_CHECKS,
     SuiteConfig,
     _split_specs,
     delta_critical_corpus,
@@ -28,13 +36,15 @@ from kempe.harness import (
     write_reports,
 )
 from kempe.iso import enumerate_mask_graphs, masks_isomorphic
-from kempe.report import merge_reports, passing, vacuous
+from kempe.report import failing, merge_reports, passing, vacuous
 
 from oracles import (
     KNOWN_GRAPH_COUNTS,
     bruteforce_unlabeled_count,
     burnside_unlabeled_count,
+    reference_lemma_sweep,
 )
+from test_normalize import planted_class1_host
 
 
 def test_enumeration_counts_small():
@@ -246,6 +256,111 @@ def test_lemma_suite_solves_each_coloring_once(monkeypatch):
     assert result.exit_code == 0
     assert seen
     assert len(seen) == len(set(seen))
+
+
+def recolored(col: PartialEdgeColoring, rng: random.Random) -> PartialEdgeColoring:
+    """`col` with its colors renamed by a random permutation of 1..k."""
+    names = list(range(1, col.k + 1))
+    rng.shuffle(names)
+    out = PartialEdgeColoring(col.graph, col.k)
+    for e, c in col.colored_edges().items():
+        out.color_edge(e, names[c - 1])
+    return out
+
+
+def test_lemma_sweep_matches_reference_sweep(critical_corpus_small):
+    reports, instances = lemma_sweep(critical_corpus_small, seeds=8)
+    ref_reports, ref_instances = reference_lemma_sweep(
+        critical_corpus_small, 8, delta_coloring_of_minus_e
+    )
+    assert [r.to_dict() for r in reports] == [r.to_dict() for r in ref_reports]
+    assert instances == ref_instances
+
+
+def test_lemma_sweep_replays_a_class_on_later_seeds(monkeypatch):
+    """Seeds 1 and 2 rename the colors of the planted host, whose 5-vertex
+    path meets the overlap-3 hypothesis and fails the inner-degree claim;
+    seed 3 is solved. The replayed seeds keep their own colorings in the
+    mined instances, and the first counterexample is seed 0's."""
+    planted, path = planted_class1_host()
+    g = planted.graph
+    solve = harness.delta_coloring_of_minus_e
+    rng = random.Random(12)
+    colorings = [planted, recolored(planted, rng), recolored(planted, rng)]
+    colorings.append(solve(g, (0, 1), seed=3))
+    assert colorings[1] != planted
+
+    def planted_first(h, e, seed=0):
+        return colorings[seed] if e == (0, 1) else solve(h, e, seed=seed)
+
+    monkeypatch.setattr(harness, "delta_coloring_of_minus_e", planted_first)
+    reports, instances = lemma_sweep((g,), seeds=4)
+    ref_reports, ref_instances = reference_lemma_sweep((g,), 4, planted_first)
+    assert [r.to_dict() for r in reports] == [r.to_dict() for r in ref_reports]
+    assert instances == ref_instances
+    planted_instances = [
+        (seed, kp, col) for _, e, seed, kp, col in instances if e == (0, 1)
+    ]
+    assert [(seed, kp) for seed, kp, _ in planted_instances][:3] == [
+        (0, path), (1, path), (2, path)
+    ]
+    assert all(col is colorings[seed] for seed, _, col in planted_instances)
+    k5 = reports[SWEEP_CHECKS.index("kierstead5-degrees")]
+    assert not k5.passed
+    assert k5.counterexample["coloring"] == planted.serialize()
+
+
+def test_lemma_sweep_checks_each_color_class_once(monkeypatch):
+    """At n <= 7 and 8 seeds the 2,576 colorings of the edge deletions
+    fall into 1,407 classes up to the names of colors."""
+    calls = []
+    helper = harness._coloring_reports
+
+    def counting(col, e):
+        calls.append(e)
+        return helper(col, e)
+
+    monkeypatch.setattr(harness, "_coloring_reports", counting)
+    corpus = delta_critical_corpus(7)
+    lemma_sweep(corpus, seeds=8)
+    assert 8 * sum(g.edge_count() for g in corpus) == 2576
+    assert len(calls) == 1407
+
+
+def test_coloring_checks_ignore_color_names():
+    """A check that reads the names of colors would make one class's
+    replayed reports wrong for its other members: it must fail here."""
+    rng = random.Random(0)
+    for g in delta_critical_corpus(7):
+        edges = g.edges()
+        for e in edges:
+            for seed in range(4):
+                col = delta_coloring_of_minus_e(g, e, seed=seed)
+                other = recolored(col, rng)
+                reports, paths = harness._coloring_reports(col, e)
+                other_reports, other_paths = harness._coloring_reports(other, e)
+                assert [r.to_dict() for r in reports] == [
+                    r.to_dict() for r in other_reports
+                ]
+                assert paths == other_paths
+                key = harness._color_class_key(col, edges)
+                assert key == harness._color_class_key(other, edges)
+
+
+def test_merge_is_associative_and_keeps_the_first():
+    parts = [
+        passing("x", met=2, pairs=3, clause="none"),
+        failing("x", builtin_fixture("triangle"), details={"pairs": 1, "clause": "b"}),
+        vacuous("x", pairs=0, reason="empty"),
+        failing("x", cycle_graph(5), met=3, details={"pairs": 4}),
+    ]
+    a, b, c, d = parts
+    left = a.merge(b).merge(c).merge(d)
+    assert left == a.merge(b.merge(c.merge(d))) == a.merge(b).merge(c.merge(d))
+    assert left == merge_reports(parts, "x")
+    assert left.details == {"pairs": 8, "clause": "none", "reason": "empty"}
+    assert (left.passed, left.hypothesis_met, left.vacuous) == (False, 6, 1)
+    assert left.counterexample == b.counterexample != d.counterexample
 
 
 def test_merge_reports_folds_lazily():
