@@ -7,6 +7,7 @@ question reduces to one decision: does a Delta-coloring exist?
 
 from __future__ import annotations
 
+import functools
 import random
 from enum import Enum
 
@@ -138,27 +139,25 @@ def find_edge_coloring(
     """
     if k < 0:
         raise ValueError("color count must be non-negative")
-    if g.edge_count() == 0:
+    m = g.edge_count()
+    if m == 0:
         return PartialEdgeColoring(g, k)
     if g.max_degree() > k:
         return None
     # each color class is a matching with at most floor(n/2) edges
-    if g.edge_count() > k * (g.n // 2):
+    if m > k * (g.n // 2):
         return None
     # a colouring holds at most 64 colours: a larger k raises here, so no
     # search is made for a result that could not be returned
-    col = PartialEdgeColoring(g, k)
+    if k > 64:
+        raise ValueError("color count must be in 0..64")
 
-    h, label = g, range(g.n)
+    edges, label = g.edges(), range(g.n)
     if seed is not None:
-        perm = list(range(g.n))
-        random.Random(seed).shuffle(perm)
-        h = g.relabeled(perm)
-        label = [0] * g.n
-        for v, pv in enumerate(perm):
-            label[pv] = v
+        perm, label = _seeded_relabelling(g.n, seed)
+        edges = [edge_key(perm[u], perm[v]) for u, v in edges]
     try:
-        assignment = _search(h, k, node_budget)
+        assignment = _search(g.n, edges, k, node_budget)
     except BudgetExceededError as exc:
         exc.partial = {
             edge_key(label[u], label[v]): c for (u, v), c in exc.partial.items()
@@ -166,31 +165,50 @@ def find_edge_coloring(
         raise
     if assignment is None:
         return None
-    for (u, v), c in sorted(assignment.items()):
-        col.color_edge((label[u], label[v]), c)
-    if not col.validate():
-        raise ColoringError("solver returned an improper coloring")
-    return col
+    colors = sorted(assignment.items())
+    return PartialEdgeColoring.from_assignment(
+        g, k, {edge_key(label[u], label[v]): c for (u, v), c in colors}
+    )
 
 
-def _degeneracy_rank(g: Graph) -> list[int]:
-    """Rank by iterated minimum-degree removal; high rank = removed late."""
-    deg = list(g.degrees())
-    alive = list(range(g.n))
-    rank = [0] * g.n
-    for r in range(g.n):
+@functools.lru_cache(maxsize=512)
+def _seeded_relabelling(n: int, seed: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """The vertex permutation of a seeded solve, perm[v] being v's new
+    name, as `random.Random(seed).shuffle` gives it, and its inverse."""
+    perm = list(range(n))
+    random.Random(seed).shuffle(perm)
+    label = [0] * n
+    for v, pv in enumerate(perm):
+        label[pv] = v
+    return tuple(perm), tuple(label)
+
+
+def _degeneracy_rank(n: int, edges: list[Edge]) -> list[int]:
+    """Rank the vertices 0..n-1 of a graph with these edges by iterated
+    minimum-degree removal; high rank = removed late."""
+    nbrs: list[list[int]] = [[] for _ in range(n)]
+    for u, v in edges:
+        nbrs[u].append(v)
+        nbrs[v].append(u)
+    deg = [len(s) for s in nbrs]
+    alive = list(range(n))
+    rank = [0] * n
+    for r in range(n):
         # the first of the least degree: ties go to the smallest vertex
         v = min(alive, key=deg.__getitem__)
         alive.remove(v)
         rank[v] = r
-        for w in g.neighbors(v):
+        for w in nbrs[v]:
             if w in alive:
                 deg[w] -= 1
     return rank
 
 
-def _search(g: Graph, k: int, node_budget: int) -> dict[Edge, int] | None:
-    """A proper k-colouring of g's edges as a dict, or None; k <= 64.
+def _search(
+    n: int, edges: list[Edge], k: int, node_budget: int
+) -> dict[Edge, int] | None:
+    """A proper k-colouring, as a dict, of the graph on 0..n-1 with these
+    edges (normalized, in any order), or None; k <= 64.
 
     Each node takes the first uncoloured edge, in a fixed order, with the
     fewest colour options and tries them in ascending order; it fails at
@@ -212,20 +230,20 @@ def _search(g: Graph, k: int, node_budget: int) -> dict[Edge, int] | None:
     colours never fall below its uncoloured edges (k >= Delta): a prune
     on those two counts could never fire, and there is none.
     """
-    edges = g.edges()
-    rank = _degeneracy_rank(g)
+    rank = _degeneracy_rank(n, edges)
     # color edges among late-surviving (dense) vertices first
-    edges.sort(key=lambda e: (-(rank[e[0]] + rank[e[1]]), e))
+    edges = sorted(edges, key=lambda e: (-(rank[e[0]] + rank[e[1]]), e))
     m = len(edges)
-    at = [0] * g.n  # at[x]: 1 in the byte of each edge at x
+    at = [0] * n  # at[x]: 1 in the byte of each edge at x
     for i, (u, v) in enumerate(edges):
         at[u] |= 1 << 8 * i
         at[v] |= 1 << 8 * i
     ones = int.from_bytes(b"\1" * m, "little")
     # free_ends[c]: per edge byte, how many of its ends have c free
     free_ends = [2 * ones] * (k + 1)
-    top = min(k, 2 * g.max_degree() - 2)
-    free = [(1 << k) - 1] * g.n
+    # each edge at x sets one bit of at[x], so that bit count is x's degree
+    top = min(k, 2 * max(a.bit_count() for a in at) - 2)
+    free = [(1 << k) - 1] * n
     color = [0] * m
     path: list[int] = []
     nodes = 0
@@ -353,9 +371,10 @@ def delta_coloring_of_minus_e(
         raise ValueError(
             f"no {delta}-coloring of the graph minus {e}: edge is not critical"
         )
-    col = PartialEdgeColoring(g, delta)
-    for f, c in sorted(base.colored_edges().items()):
-        col.color_edge(f, c)
-    if col.uncolored_edges() != [e]:
+    # G - e has G's vertices, so its colouring is re-hosted on G as it is
+    col = PartialEdgeColoring.from_assignment(
+        g, delta, dict(sorted(base.colored_edges().items()))
+    )
+    if col.uncolored_count() != 1 or col.is_colored(e):
         raise ColoringError(f"coloring of the graph minus {e} is not full elsewhere")
     return col

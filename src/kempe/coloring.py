@@ -62,6 +62,35 @@ class PartialEdgeColoring:
         self._assign: dict[Edge, int] = {}
         self._present: list[int] = [0] * graph.n
 
+    @classmethod
+    def from_assignment(
+        cls, graph: Graph, k: int, assignment: dict[Edge, int]
+    ) -> "PartialEdgeColoring":
+        """The coloring with exactly `assignment` colored, in its order.
+
+        One pass: each key must be a normalized edge (u, v), u < v, of
+        graph, each color in 1..k and missing at both ends so far; anything
+        else raises ColoringError."""
+        col = cls(graph, k)
+        present = col._present
+        adj = graph.adjacency_masks()
+        n = graph.n
+        for e, c in assignment.items():
+            u, v = e
+            if u >= v:
+                raise ColoringError(f"edge {e} is not normalized")
+            if u < 0 or v >= n or not adj[u] >> v & 1:
+                raise ColoringError(f"edge {e} not in graph")
+            if not 1 <= c <= k:
+                raise ColoringError(f"color {c} outside 1..{k}")
+            bit = 1 << (c - 1)
+            if (present[u] | present[v]) & bit:
+                raise ColoringError(f"color {c} already present at an end of {e}")
+            present[u] |= bit
+            present[v] |= bit
+        col._assign = dict(assignment)
+        return col
+
     # -- basic queries ------------------------------------------------------
 
     def color_of(self, e: tuple[int, int]) -> int | None:

@@ -83,16 +83,22 @@ class Graph:
         return max((len(s) for s in self._adj), default=0)
 
     def without_edge(self, e: tuple[int, int]) -> "Graph":
+        """The graph minus one of its edges, built from this graph's
+        adjacency: only the two ends' neighbourhoods change."""
         u, v = edge_key(*e)
-        if not self.has_edge(u, v):
+        if u < 0 or v >= self.n or not self.has_edge(u, v):
             raise ValueError(f"edge ({u},{v}) not in graph")
-        return Graph(self.n, [f for f in self.edges() if f != (u, v)])
-
-    def relabeled(self, perm: list[int] | tuple[int, ...]) -> "Graph":
-        """Return the graph with vertex v renamed to perm[v]."""
-        if sorted(perm) != list(range(self.n)):
-            raise ValueError("perm must be a permutation of 0..n-1")
-        return Graph(self.n, [(perm[u], perm[v]) for u, v in self.edges()])
+        adj = list(self._adj)
+        adj[u] = adj[u] - {v}
+        adj[v] = adj[v] - {u}
+        mask = list(self._mask)
+        mask[u] ^= 1 << v
+        mask[v] ^= 1 << u
+        h = Graph.__new__(Graph)
+        h.n = self.n
+        h._adj = tuple(adj)
+        h._mask = tuple(mask)
+        return h
 
     def is_connected(self) -> bool:
         if self.n <= 1:

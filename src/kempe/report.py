@@ -35,14 +35,21 @@ class VerificationReport:
 
     def merge(self, other: "VerificationReport") -> "VerificationReport":
         """Combine two partial results of the same check (associative;
-        the first counterexample encountered is kept)."""
+        the first counterexample encountered is kept).
+
+        A numeric detail is summed and any other keeps its first value. A
+        key whose two values are of the two kinds raises TypeError, since
+        no fold of such values is associative."""
         if other.check != self.check:
             raise ValueError(f"cannot merge {self.check} with {other.check}")
         details = dict(self.details)
         for key, value in other.details.items():
-            if isinstance(value, (int, float)) and isinstance(
-                details.get(key, 0), (int, float)
-            ):
+            numeric = isinstance(value, (int, float))
+            if key in details and numeric != isinstance(details[key], (int, float)):
+                raise TypeError(
+                    f"{self.check} detail {key!r} mixes numeric and other values"
+                )
+            if numeric:
                 details[key] = details.get(key, 0) + value
             else:
                 details.setdefault(key, value)

@@ -5,15 +5,20 @@ enumeration: a labeled brute force over every edge subset with
 permutation-minimum dedup, and the orbit-counting (Burnside) formula over
 the symmetric group acting on vertex pairs. The reference lemma sweep runs
 every structure check on every seed's coloring, apart from the library
-sweep's one pass per color class.
+sweep's one pass per color class. The reference solver wrappers rebuild
+each colouring the long way: a validated relabelled `Graph`, one checked
+`color_edge` per edge, `validate()`, and an edge-by-edge copy onto G.
 """
 
 from __future__ import annotations
 
+import random
 from itertools import combinations, permutations
 from math import factorial
 
-from kempe.graph import full_deficiency_pairs
+from kempe.classify import _search
+from kempe.coloring import PartialEdgeColoring
+from kempe.graph import Graph, edge_key, full_deficiency_pairs
 from kempe.harness import SWEEP_CHECKS
 from kempe.report import vacuous
 from kempe.structures import (
@@ -120,3 +125,49 @@ def reference_lemma_sweep(corpus, seeds, coloring):
         for name in SWEEP_CHECKS
     ]
     return reports, instances
+
+
+def reference_find_edge_coloring(g, k, seed=None):
+    """`find_edge_coloring` without a node budget, the colouring rebuilt
+    the long way around the library's `_search`: a seed relabels g into a
+    new validated `Graph`, and each found colour goes in by `color_edge`,
+    in the sorted order of the searched graph's edges."""
+    if g.edge_count() == 0:
+        return PartialEdgeColoring(g, k)
+    if g.max_degree() > k or g.edge_count() > k * (g.n // 2):
+        return None
+    col = PartialEdgeColoring(g, k)
+    h, label = g, list(range(g.n))
+    if seed is not None:
+        perm = list(range(g.n))
+        random.Random(seed).shuffle(perm)
+        h = Graph(g.n, [(perm[u], perm[v]) for u, v in g.edges()])
+        for v, pv in enumerate(perm):
+            label[pv] = v
+    assignment = _search(h.n, h.edges(), k, 10**9)
+    if assignment is None:
+        return None
+    for (u, v), c in sorted(assignment.items()):
+        col.color_edge((label[u], label[v]), c)
+    if not col.validate():
+        raise AssertionError("improper reference colouring")
+    return col
+
+
+def reference_delta_coloring_of_minus_e(g, e, seed=0):
+    """`delta_coloring_of_minus_e` the long way: G - e rebuilt from its
+    edge list, solved by `reference_find_edge_coloring`, and its colours
+    copied onto G one `color_edge` at a time in sorted edge order."""
+    e = edge_key(*e)
+    delta = g.max_degree()
+    base = reference_find_edge_coloring(
+        Graph(g.n, [f for f in g.edges() if f != e]), delta, seed
+    )
+    if base is None:
+        raise ValueError(f"no {delta}-coloring of the graph minus {e}")
+    col = PartialEdgeColoring(g, delta)
+    for f, c in sorted(base.colored_edges().items()):
+        col.color_edge(f, c)
+    if col.uncolored_edges() != [e]:
+        raise AssertionError("reference colouring is not full off e")
+    return col

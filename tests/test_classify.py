@@ -29,8 +29,10 @@ from kempe.graph import (
     cycle_graph,
 )
 from kempe.coloring import ColoringError, PartialEdgeColoring
-from kempe.harness import enumerate_graphs_upto
+from kempe.harness import delta_critical_corpus, enumerate_graphs_upto
 from kempe.structures import check_parity
+
+from oracles import reference_delta_coloring_of_minus_e, reference_find_edge_coloring
 
 # sha256 of the repr of find_edge_coloring(g, Delta, seed=s) over the
 # enumerated graphs with edges and n <= 6, s in (None, 0, 1): each result as
@@ -245,6 +247,89 @@ def test_solver_output_is_pinned():
             results.append(None if col is None else sorted(col.colored_edges().items()))
     assert len(results) == 606
     assert hashlib.sha256(repr(results).encode()).hexdigest() == SOLVER_DIGEST
+
+
+def same_coloring(col, ref):
+    """Equal as colourings, and with the same colours in the same
+    insertion order."""
+    if col is None or ref is None:
+        return col is ref
+    items = list(col.colored_edges().items())
+    return col == ref and items == list(ref.colored_edges().items()) and col.validate()
+
+
+def test_solver_matches_the_rebuilding_reference():
+    """The seeded relabelling and the one-pass result change no colouring
+    and no insertion order."""
+    for g in enumerate_graphs_upto(6):
+        for seed in (None, 0, 1):
+            ref = reference_find_edge_coloring(g, g.max_degree(), seed)
+            assert same_coloring(find_edge_coloring(g, g.max_degree(), seed=seed), ref)
+
+
+def test_delta_coloring_matches_the_rebuilding_reference():
+    corpus = delta_critical_corpus(7)
+    assert len(corpus) == 26
+    for g in corpus:
+        for e in g.edges():
+            for seed in range(4):
+                col = delta_coloring_of_minus_e(g, e, seed=seed)
+                ref = reference_delta_coloring_of_minus_e(g, e, seed)
+                assert same_coloring(col, ref) and col.uncolored_edges() == [e]
+
+
+def test_a_solver_call_builds_only_g_minus_e(monkeypatch, pstar):
+    """Neither a seeded solve nor a colouring of G - e colours an edge one
+    at a time or builds a Graph, apart from the G - e it deletes e from."""
+    colored, built, deleted = [], [], []
+    color_edge = PartialEdgeColoring.color_edge
+    init = Graph.__init__
+    without_edge = Graph.without_edge
+
+    def counting_color_edge(self, e, c):
+        colored.append(e)
+        return color_edge(self, e, c)
+
+    def counting_init(self, *args, **kwargs):
+        built.append(args)
+        return init(self, *args, **kwargs)
+
+    def counting_without_edge(self, e):
+        deleted.append(e)
+        return without_edge(self, e)
+
+    h = pstar.without_edge((0, 1))
+    monkeypatch.setattr(PartialEdgeColoring, "color_edge", counting_color_edge)
+    monkeypatch.setattr(Graph, "__init__", counting_init)
+    monkeypatch.setattr(Graph, "without_edge", counting_without_edge)
+    for seed in (None, 0, 7):
+        assert find_edge_coloring(h, 3, seed=seed).is_full()
+        assert deleted == []
+        assert delta_coloring_of_minus_e(pstar, (1, 0), seed=seed).validate()
+        assert deleted == [(0, 1)]
+        deleted.clear()
+    assert colored == [] and built == []
+
+
+def test_seeded_relabelling_is_the_shuffle():
+    for n in range(10):
+        for seed in range(32):
+            perm, label = classifier._seeded_relabelling(n, seed)
+            want = list(range(n))
+            random.Random(seed).shuffle(want)
+            assert perm == tuple(want) and isinstance(label, tuple)
+            assert [label[p] for p in perm] == list(range(n))
+
+
+def test_without_edge_keeps_the_rest(pstar, k6):
+    for g in (pstar, k6, Graph(9, [(0, 8), (2, 5)])):
+        for e in g.edges():
+            h, want = g.without_edge(e), Graph(g.n, [f for f in g.edges() if f != e])
+            assert h == want and h.adjacency_masks() == want.adjacency_masks()
+            assert g.has_edge(*e) and not h.has_edge(*e)
+    for bad in ((0, 2), (2, 0), (-1, 5), (3, 9)):
+        with pytest.raises(ValueError):
+            pstar.without_edge(bad)
 
 
 @pytest.mark.parametrize(

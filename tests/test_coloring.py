@@ -311,3 +311,35 @@ def test_fuzz_c5_swaps_stay_valid():
         if col.is_missing(v, a) or col.is_missing(v, b):
             col.kempe_swap_at(v, a, b)
     assert col.validate()
+
+
+@pytest.mark.parametrize(
+    "assignment, reason",
+    [
+        ({(0, 1): 1, (0, 2): 2}, "not in graph"),  # C5 has no chord
+        ({(0, 1): 1, (-1, 3): 2}, "not in graph"),  # a negative end
+        ({(0, 1): 1, (3, 5): 2}, "not in graph"),  # an end past n
+        ({(1, 0): 1}, "not normalized"),
+        ({(0, 1): 4}, "outside 1..3"),
+        ({(0, 1): 0}, "outside 1..3"),
+        ({(0, 1): 2, (1, 2): 2}, "already present"),
+    ],
+)
+def test_from_assignment_rejects_bad_input(assignment, reason):
+    g = cycle_graph(5)
+    with pytest.raises(ColoringError, match=reason):
+        PartialEdgeColoring.from_assignment(g, 3, assignment)
+
+
+def test_from_assignment_equals_coloring_edge_by_edge():
+    g = builtin_fixture("pstar")
+    full = vizing_plus_one_coloring(g)
+    items = sorted(full.colored_edges().items())
+    for count in (0, 5, len(items)):
+        built = PartialEdgeColoring(g, full.k)
+        for e, c in items[:count]:
+            built.color_edge(e, c)
+        col = PartialEdgeColoring.from_assignment(g, full.k, dict(items[:count]))
+        assert col == built and col.validate()
+        assert list(col.colored_edges()) == list(built.colored_edges())
+        assert all(col.missing(v) == built.missing(v) for v in range(g.n))

@@ -363,6 +363,19 @@ def test_merge_is_associative_and_keeps_the_first():
     assert left.counterexample == b.counterexample != d.counterexample
 
 
+def test_merge_rejects_a_detail_of_two_kinds():
+    """Summing the numbers under a key and keeping the first of its other
+    values is not associative once one key holds both: (5 + "s") + 3 read
+    8 and 5 + ("s" + 3) read 5. Every such fold now raises, so a fold
+    that succeeds is associative."""
+    a, b, c = (passing("x", k=value) for value in (5, "s", 3))
+    for fold in (lambda: a.merge(b).merge(c), lambda: a.merge(b.merge(c))):
+        with pytest.raises(TypeError, match="'k'"):
+            fold()
+    assert b.merge(passing("x")).merge(passing("x", k="t")).details == {"k": "s"}
+    assert a.merge(passing("x")).merge(c).details == {"k": 8}
+
+
 def test_merge_reports_folds_lazily():
     assert merge_reports(iter(()), "parity") == vacuous("parity")
     merged = merge_reports((passing("x", colors=c) for c in (2, 3)), "x")
