@@ -10,7 +10,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Iterable, Sequence
 
-from .graph import Edge, Graph, edge_key
+from .graph import Edge, Graph, bit_positions, edge_key
 
 
 class ColoringError(Exception):
@@ -73,13 +73,12 @@ class PartialEdgeColoring:
         else raises ColoringError."""
         col = cls(graph, k)
         present = col._present
-        adj = graph.adjacency_masks()
-        n = graph.n
+        has_edge = graph.has_edge
         for e, c in assignment.items():
             u, v = e
             if u >= v:
                 raise ColoringError(f"edge {e} is not normalized")
-            if u < 0 or v >= n or not adj[u] >> v & 1:
+            if not has_edge(u, v):
                 raise ColoringError(f"edge {e} not in graph")
             if not 1 <= c <= k:
                 raise ColoringError(f"color {c} outside 1..{k}")
@@ -116,7 +115,7 @@ class PartialEdgeColoring:
 
     def missing(self, v: int) -> set[int]:
         """Colors of 1..k absent from every edge at v."""
-        return _mask_to_colors(self.missing_mask(v))
+        return set(bit_positions(self.missing_mask(v) << 1))
 
     def is_missing(self, v: int, c: int) -> bool:
         return not self._present[v] >> (c - 1) & 1
@@ -193,16 +192,45 @@ class PartialEdgeColoring:
 
     # -- Kempe machinery ----------------------------------------------------
 
-    def chain_through(self, v: int, alpha: int, beta: int) -> KempeChain:
-        """The maximal (alpha, beta)-component containing v.
-
-        A vertex missing both colors yields a trivial one-vertex path.
-        """
+    def _check_pair(self, alpha: int, beta: int) -> None:
         self._check_color(alpha)
         self._check_color(beta)
         if alpha == beta:
             raise ColoringError("chain colors must differ")
 
+    def _walk(
+        self, x: int, e: Edge, alpha: int, beta: int
+    ) -> tuple[list[int], list[Edge]]:
+        """The alternating walk from x along its (alpha, beta)-edge e: at
+        each vertex reached, the next edge is the one `edge_at` gives in
+        the other color, until there is none or the walk is back at x.
+        Returns the vertices (x first) and the edges in walk order.
+
+        A step depends only on the vertex reached and the color wanted, so
+        a walk of 2n edges has repeated a step and would never end. Only an
+        improper coloring, inside a script transaction, makes one; it
+        raises ChainError."""
+        verts, edges = [x], []
+        cur = x
+        limit = 2 * self.graph.n
+        while e is not None:
+            if len(edges) == limit:
+                raise ChainError(f"the ({alpha},{beta})-walk from {x} never ends")
+            edges.append(e)
+            a, b = e
+            cur = b if a == cur else a
+            verts.append(cur)
+            if cur == x:
+                break
+            e = self.edge_at(cur, beta if self._assign[e] == alpha else alpha)
+        return verts, edges
+
+    def chain_through(self, v: int, alpha: int, beta: int) -> KempeChain:
+        """The maximal (alpha, beta)-component containing v.
+
+        A vertex missing both colors yields a trivial one-vertex path.
+        """
+        self._check_pair(alpha, beta)
         e1 = self.edge_at(v, alpha)
         e2 = self.edge_at(v, beta)
         local = [e for e in (e1, e2) if e is not None]
@@ -210,29 +238,13 @@ class PartialEdgeColoring:
             return KempeChain(
                 (alpha, beta), "path", (v,), ()
             )
-
-        def walk(start: int, e: Edge) -> tuple[list[int], list[Edge]]:
-            verts, edges = [start], []
-            cur = start
-            nxt_edge: Edge | None = e
-            while nxt_edge is not None:
-                edges.append(nxt_edge)
-                a, b = nxt_edge
-                cur = b if a == cur else a
-                verts.append(cur)
-                if cur == start:
-                    return verts, edges  # closed cycle
-                want = beta if self._assign[nxt_edge] == alpha else alpha
-                nxt_edge = self.edge_at(cur, want)
-            return verts, edges
-
-        verts1, edges1 = walk(v, local[0])
-        if verts1[-1] == v and len(edges1) > 1:
+        verts1, edges1 = self._walk(v, local[0], alpha, beta)
+        if verts1[-1] == v:
             return KempeChain((alpha, beta), "cycle", tuple(verts1), tuple(edges1))
         if len(local) == 1:
             return KempeChain((alpha, beta), "path", tuple(verts1), tuple(edges1))
         # v is interior: extend the other way and splice
-        verts2, edges2 = walk(v, local[1])
+        verts2, edges2 = self._walk(v, local[1], alpha, beta)
         vertices = tuple(reversed(verts2)) + tuple(verts1[1:])
         edges = tuple(reversed(edges2)) + tuple(edges1)
         return KempeChain((alpha, beta), "path", vertices, edges)
@@ -244,14 +256,13 @@ class PartialEdgeColoring:
         return y in self.chain_through(x, alpha, beta).vertices
 
     def _chain_is_current(self, chain: KempeChain) -> bool:
-        alpha, beta = chain.colors
-        for e in chain.edges:
-            if self._assign.get(e) not in (alpha, beta):
-                return False
-        if chain.edges:
-            fresh = self.chain_through(chain.vertices[0], alpha, beta)
-            return set(fresh.edges) == set(chain.edges)
-        return True
+        """True iff the chain is still a component: the fresh chain through
+        its first vertex has its edges. A recolored or uncolored edge of the
+        chain is on no fresh chain, so it makes the edge sets differ."""
+        if not chain.edges:
+            return True
+        fresh = self.chain_through(chain.vertices[0], *chain.colors)
+        return set(fresh.edges) == set(chain.edges)
 
     def swap_chain(self, chain: KempeChain) -> None:
         """Kempe change: exchange the two colors along a full chain.
@@ -315,29 +326,14 @@ class PartialEdgeColoring:
         Walks the alternation directly from the given edge, so it stays
         well defined even while a script transaction is transiently
         improper elsewhere. Rejects closed walks back to x."""
+        self._check_pair(alpha, beta)
         fe = edge_key(*first_edge)
         if self._assign.get(fe) not in (alpha, beta) or x not in fe:
             raise ChainError(f"{fe} is not an ({alpha},{beta})-edge at {x}")
-        edges = [fe]
-        cur = fe[1] if fe[0] == x else fe[0]
-        prev = fe
-        while True:
-            if cur == x:
-                raise ChainError("half chain closed into a cycle")
-            want = (
-                beta if self._assign[prev] == alpha else alpha
-            )
-            nxt = None
-            for z in sorted(self.graph.neighbors(cur)):
-                e = edge_key(cur, z)
-                if e != prev and self._assign.get(e) == want:
-                    nxt = e
-                    break
-            if nxt is None:
-                return tuple(edges)
-            edges.append(nxt)
-            cur = nxt[1] if nxt[0] == cur else nxt[0]
-            prev = nxt
+        verts, edges = self._walk(x, fe, alpha, beta)
+        if verts[-1] == x:
+            raise ChainError("half chain closed into a cycle")
+        return tuple(edges)
 
     def swap_half_chain(
         self, x: int, alpha: int, beta: int, first_edge: tuple[int, int]
@@ -419,17 +415,6 @@ def parse_coloring(graph: Graph, text: str) -> PartialEdgeColoring:
     if col.uncolored_count() != int(head["uncolored"]):
         raise ValueError("uncolored count does not match header")
     return col
-
-
-def _mask_to_colors(mask: int) -> set[int]:
-    out = set()
-    c = 1
-    while mask:
-        if mask & 1:
-            out.add(c)
-        mask >>= 1
-        c += 1
-    return out
 
 
 # ---------------------------------------------------------------------------

@@ -9,6 +9,7 @@ from __future__ import annotations
 import math
 from collections import Counter, deque
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Iterable
 
 Edge = tuple[int, int]
@@ -31,10 +32,23 @@ def edge_key(u: int, v: int) -> Edge:
     return (u, v) if u < v else (v, u)
 
 
+@lru_cache(maxsize=1 << 12)
+def bit_positions(mask: int) -> tuple[int, ...]:
+    """The positions of the set bits of `mask`, in increasing order: the
+    neighbors in an adjacency mask, or the colors in a color mask shifted
+    up by one (color c at bit c)."""
+    out = []
+    while mask:
+        bit = mask & -mask
+        out.append(bit.bit_length() - 1)
+        mask ^= bit
+    return tuple(out)
+
+
 class Graph:
     """Immutable simple graph on vertices 0..n-1."""
 
-    __slots__ = ("n", "_adj", "_mask")
+    __slots__ = ("n", "_adj")
 
     def __init__(self, n: int, edges: Iterable[tuple[int, int]] = ()):
         if n < 0:
@@ -48,16 +62,14 @@ class Graph:
             adj[v].add(u)
         self.n = n
         self._adj: tuple[frozenset[int], ...] = tuple(frozenset(s) for s in adj)
-        # bitmask adjacency, used by the solver and isomorphism code
-        self._mask: tuple[int, ...] = tuple(
-            sum(1 << v for v in s) for s in self._adj
-        )
 
     def neighbors(self, v: int) -> frozenset[int]:
         return self._adj[v]
 
     def adjacency_masks(self) -> tuple[int, ...]:
-        return self._mask
+        """The bitmask adjacency the isomorphism code takes: bit w of
+        entry v is set when vw is an edge. Built on each call."""
+        return tuple(sum(1 << w for w in s) for s in self._adj)
 
     def degree(self, v: int) -> int:
         return len(self._adj[v])
@@ -66,7 +78,9 @@ class Graph:
         return tuple(len(s) for s in self._adj)
 
     def has_edge(self, u: int, v: int) -> bool:
-        return v in self._adj[u]
+        """True iff uv is an edge; False when either end is outside
+        0..n-1."""
+        return 0 <= u < self.n and v in self._adj[u]
 
     def edges(self) -> list[Edge]:
         """All edges as (u, v) with u < v, sorted: a frozenset's iteration
@@ -86,18 +100,14 @@ class Graph:
         """The graph minus one of its edges, built from this graph's
         adjacency: only the two ends' neighbourhoods change."""
         u, v = edge_key(*e)
-        if u < 0 or v >= self.n or not self.has_edge(u, v):
+        if not self.has_edge(u, v):
             raise ValueError(f"edge ({u},{v}) not in graph")
         adj = list(self._adj)
         adj[u] = adj[u] - {v}
         adj[v] = adj[v] - {u}
-        mask = list(self._mask)
-        mask[u] ^= 1 << v
-        mask[v] ^= 1 << u
         h = Graph.__new__(Graph)
         h.n = self.n
         h._adj = tuple(adj)
-        h._mask = tuple(mask)
         return h
 
     def is_connected(self) -> bool:

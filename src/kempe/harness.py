@@ -39,6 +39,7 @@ from .graph import (
 )
 from .iso import automorphisms, enumerate_mask_graphs, orbit_representatives
 from .normalize import (
+    MAX_SWAPS,
     HypothesisError,
     Normalized,
     ProperColoring,
@@ -453,7 +454,7 @@ def verify_normalization(instances: list[K5Instance]) -> VerificationReport:
         )
         if not conditions:
             return fail("normalized outcome violates the canonical pattern")
-        if outcome.swap_count > 24:
+        if outcome.swap_count > MAX_SWAPS:
             return fail(f"swap bound exceeded: {outcome.swap_count}")
         deg_ok = g.degree(b) == g.max_degree() and g.degree(u) == g.max_degree()
         if not deg_ok:

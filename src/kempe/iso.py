@@ -16,22 +16,12 @@ large-graph performance.
 
 from __future__ import annotations
 
-from functools import lru_cache
 from typing import Iterator
+
+from .graph import bit_positions
 
 Masks = tuple[int, ...]
 Perm = tuple[int, ...]  # vertex v goes to perm[v]
-
-
-@lru_cache(maxsize=1 << 12)
-def _bits(mask: int) -> tuple[int, ...]:
-    """The positions of the set bits of `mask`: a vertex's neighbors."""
-    out = []
-    while mask:
-        bit = mask & -mask
-        out.append(bit.bit_length() - 1)
-        mask ^= bit
-    return tuple(out)
 
 
 def refinement_colors(masks: Masks, colors: list[int] | None = None) -> list[int]:
@@ -40,7 +30,7 @@ def refinement_colors(masks: Masks, colors: list[int] | None = None) -> list[int
     numbered 0..k-1 in the order of the input colors. Relabelling the graph
     and the input coloring together relabels the output the same way."""
     n = len(masks)
-    adj = [_bits(m) for m in masks]
+    adj = [bit_positions(m) for m in masks]
     if colors is None:
         colors = [len(a) for a in adj]
     # a neighbor of color c adds 1 << (c * width); every count is below
@@ -113,7 +103,7 @@ def _leaves(masks: Masks, found: list[Perm]) -> Iterator[Masks]:
         if len(set(colors)) == n:
             form = [0] * n
             for v in range(n):
-                form[colors[v]] = sum([1 << colors[u] for u in _bits(masks[v])])
+                form[colors[v]] = sum([1 << colors[u] for u in bit_positions(masks[v])])
             form = tuple(form)
             if best is None or form < best:
                 best, best_leaf = form, colors
@@ -155,7 +145,7 @@ def automorphisms(masks: Masks) -> list[Perm]:
         pass
     for gamma in generators:
         for v, mask in enumerate(masks):
-            if sum([1 << gamma[u] for u in _bits(mask)]) != masks[gamma[v]]:
+            if sum([1 << gamma[u] for u in bit_positions(mask)]) != masks[gamma[v]]:
                 raise RuntimeError(f"{gamma} is not an automorphism")
     return generators
 

@@ -19,12 +19,15 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+from .classify import _color_one_edge
 from .coloring import (
     AssignColor,
     ColoringError,
     PartialEdgeColoring,
+    ScriptError,
     SwapChainAt,
     SwapScript,
+    apply_script,
 )
 from .graph import edge_key
 from .report import VerificationReport, failing, passing
@@ -180,8 +183,6 @@ class _Normalizer:
     def try_completion_escape(self) -> None:
         """Attempt to complete the single uncolored edge within k colors by
         the fan-rotation routine; succeeds only on non-genuine hosts."""
-        from .classify import _color_one_edge
-
         for e in ((self.a, self.b), (self.b, self.a)):
             work = self.col.copy()
             try:
@@ -449,8 +450,6 @@ def replay_proof_script(
     """Run a swap script against a coloring and check the expectation:
     'proper-full' demands a validating full coloring, 'proper-partial' a
     validating coloring with the uncolored set intact."""
-    from .coloring import ScriptError, apply_script
-
     check = "script-replay"
     if expect not in ("proper-full", "proper-partial"):
         raise ValueError("expect must be 'proper-full' or 'proper-partial'")

@@ -13,12 +13,13 @@ from kempe.coloring import (
     PartialEdgeColoring,
     RecolorEdge,
     ScriptError,
+    SwapHalfChain,
     SwapScript,
     SwapSubchain,
     apply_script,
     parse_coloring,
 )
-from kempe.graph import Graph, builtin_fixture, cycle_graph
+from kempe.graph import Graph, builtin_fixture, cycle_graph, identify_pair
 from kempe.harness import round_robin_one_factorization
 
 
@@ -86,6 +87,10 @@ def test_chain_through_cycle():
     chain = col.chain_through(0, 1, 2)
     assert chain.kind == "cycle"
     assert len(chain.edges) == 4
+    with pytest.raises(ChainError, match="closed into a cycle"):
+        col.half_chain_from(0, 1, 2, chain.edges[0])
+    with pytest.raises(ColoringError, match="must differ"):
+        col.half_chain_from(0, 1, 1, chain.edges[0])
 
 
 def test_trivial_chain():
@@ -189,6 +194,20 @@ def test_apply_script_worked_example():
     assert out.color_of((0, 1)) == 2
 
 
+def test_walk_that_never_ends_is_refused():
+    """Recoloring 1-4 to 1 gives vertex 1 two edges of color 1, so the
+    half chain from 0 runs round the loop 1-2-3-4-1 and never returns to 0:
+    the step is refused instead of walked forever."""
+    g = Graph(5, [(0, 1), (1, 2), (2, 3), (3, 4), (1, 4)])
+    col = PartialEdgeColoring(g, 3)
+    for e, c in {(0, 1): 1, (1, 2): 2, (2, 3): 1, (3, 4): 2, (1, 4): 3}.items():
+        col.color_edge(e, c)
+    script = SwapScript([RecolorEdge((1, 4), 3, 1), SwapHalfChain(0, 1, 2, (0, 1))])
+    with pytest.raises(ScriptError, match="never ends") as exc:
+        apply_script(col, script)
+    assert exc.value.step_index == 1
+
+
 def test_apply_script_error_names_step():
     col = triangle_minus_ab()
     col.uncolor_edge((1, 2))
@@ -214,6 +233,19 @@ def test_serialize_roundtrip(pstar):
     assert text.splitlines()[0] == f"k={col.k} uncolored=1"
     back = parse_coloring(pstar, text)
     assert back == col
+
+
+def test_out_of_range_pair_is_not_an_edge():
+    """A pair with an end outside 0..n-1 is no edge of the graph, also when
+    the end is negative and indexing would wrap it round to vertex n-1."""
+    g = Graph(3, [(1, 2)])
+    assert not g.has_edge(-1, 1) and not g.has_edge(3, 1)
+    with pytest.raises(ColoringError, match="not in graph"):
+        PartialEdgeColoring(g, 2).color_edge((-1, 1), 1)
+    with pytest.raises(ColoringError, match="not in graph"):
+        parse_coloring(g, "k=2 uncolored=0\n-1 1 1\n1 2 -\n")
+    with pytest.raises(ValueError, match="not adjacent"):
+        identify_pair(g, -1, 1)
 
 
 def test_validate_detects_corruption():
@@ -273,6 +305,17 @@ def test_components_partition_two_colored_edges(seed):
         assert v in chain.vertices
         if v in seen_vertices:
             continue
+        # the half chain from an end along its edge is the chain read from
+        # that end; started on a cycle it is refused
+        if chain.kind == "cycle":
+            with pytest.raises(ChainError):
+                col.half_chain_from(v, a, b, chain.edges[0])
+        elif chain.edges:
+            ends = chain.vertices[0], chain.vertices[-1]
+            assert col.half_chain_from(ends[0], a, b, chain.edges[0]) == chain.edges
+            assert col.half_chain_from(ends[1], a, b, chain.edges[-1]) == tuple(
+                reversed(chain.edges)
+            )
         overlap = seen_edges & set(chain.edges)
         assert overlap == set(chain.edges) or not overlap
         seen_edges |= set(chain.edges)

@@ -1,6 +1,7 @@
 """The library has no unused public API: every public top-level function
 and class of `kempe` is referenced by other library code, or is listed in
-`KEPT` with the reason it stays."""
+`KEPT` with the reason it stays. And each private representation, a
+graph's adjacency and a coloring's state, is read by its own module only."""
 
 from __future__ import annotations
 
@@ -46,6 +47,42 @@ def unreferenced_public_names(package: Path) -> set[str]:
                 if name != own:
                     referenced.add(name)
     return defined - referenced
+
+
+# private attribute -> the one library module that may touch it
+OWNERS = {"_adj": "graph.py", "_assign": "coloring.py", "_present": "coloring.py"}
+
+
+def foreign_private_reads(package: Path) -> set[tuple[str, str]]:
+    """(module, attribute) for each module of the package that reads a
+    `Graph` adjacency or `PartialEdgeColoring` state attribute it does not
+    own, so that representation stays known to one module."""
+    found = set()
+    for path in sorted(package.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if (
+                isinstance(node, ast.Attribute)
+                and node.attr in OWNERS
+                and OWNERS[node.attr] != path.name
+            ):
+                found.add((path.name, node.attr))
+    return found
+
+
+def test_representations_have_one_owner():
+    package = Path(kempe.__file__).parent
+    assert foreign_private_reads(package) == set()
+
+
+def test_a_foreign_private_read_is_found(tmp_path: Path):
+    (tmp_path / "graph.py").write_text("def f(g):\n    return g._adj\n")
+    (tmp_path / "structures.py").write_text(
+        "def f(g, col):\n    return g._adj[0], col._present, col.graph\n"
+    )
+    assert foreign_private_reads(tmp_path) == {
+        ("structures.py", "_adj"),
+        ("structures.py", "_present"),
+    }
 
 
 def test_no_unused_public_api():
