@@ -7,6 +7,7 @@ limited to 64 — plenty at desk scale.
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass, field
 from typing import Iterable, Sequence
 
@@ -402,17 +403,31 @@ class PartialEdgeColoring:
 
 
 def parse_coloring(graph: Graph, text: str) -> PartialEdgeColoring:
-    """Inverse of PartialEdgeColoring.serialize for a known graph."""
+    """Inverse of PartialEdgeColoring.serialize for a known graph: the
+    header `k=<int> uncolored=<count>`, then one line per edge of the graph,
+    each edge exactly once. Anything else raises ValueError or
+    ColoringError."""
     lines = [ln for ln in text.splitlines() if ln.strip()]
-    if not lines or not lines[0].startswith("k="):
-        raise ValueError("missing coloring header")
-    head = dict(part.split("=") for part in lines[0].split())
-    col = PartialEdgeColoring(graph, int(head["k"]))
+    head = re.fullmatch(r"k=(\d+) uncolored=(\d+)", lines[0].strip()) if lines else None
+    if head is None:
+        raise ValueError("missing coloring header 'k=<int> uncolored=<count>'")
+    k, uncolored = map(int, head.groups())
+    col = PartialEdgeColoring(graph, k)
+    listed: set[Edge] = set()
     for ln in lines[1:]:
         u, v, c = ln.split()
+        e = edge_key(int(u), int(v))
+        if not graph.has_edge(*e):
+            raise ColoringError(f"edge {e} not in graph")
+        if e in listed:
+            raise ValueError(f"edge {e} listed twice")
+        listed.add(e)
         if c != "-":
-            col.color_edge((int(u), int(v)), int(c))
-    if col.uncolored_count() != int(head["uncolored"]):
+            col.color_edge(e, int(c))
+    missed = [e for e in graph.edges() if e not in listed]
+    if missed:
+        raise ValueError(f"edges {missed} not listed")
+    if col.uncolored_count() != uncolored:
         raise ValueError("uncolored count does not match header")
     return col
 

@@ -28,6 +28,7 @@ from .graph import (
     Multigraph,
     SplitSpec,
     complete_graph,
+    edge_key,
     full_deficiency_pairs,
     identification_map,
     identify_pair,
@@ -37,7 +38,13 @@ from .graph import (
     split_vertex,
     to_graph6,
 )
-from .iso import automorphisms, enumerate_mask_graphs, orbit_representatives
+from .iso import (
+    Perm,
+    automorphism_group,
+    automorphisms,
+    enumerate_mask_graphs,
+    orbit_representatives,
+)
 from .normalize import (
     MAX_SWAPS,
     HypothesisError,
@@ -322,13 +329,18 @@ K5Instance = tuple[Graph, tuple[int, int], int, KiersteadPath, PartialEdgeColori
 # folded reports of one coloring of G - e, and its overlap-3 5-vertex paths
 _ColoringResult = tuple[list[VerificationReport], list[KiersteadPath]]
 
+# the vertices of a 5-vertex path, in the labels of a class's least reading
+_Path5 = tuple[int, ...]
+
 
 def _coloring_reports(col: PartialEdgeColoring, e: tuple[int, int]) -> _ColoringResult:
     """Every coloring-level check on one coloring of G - e, folded into one
     report per check in first-seen order, and the 5-vertex Kierstead paths
     whose far end shares at least 3 missing colors with the root pair.
-    Renaming the colors changes neither, so the result stands for every
-    coloring with the same `_color_class_key`."""
+    Renaming the colors changes neither, and relabelling the coloring and
+    e by an automorphism of G relabels the paths the same way and changes
+    no report, so the result stands for every coloring in the same class
+    up to the automorphisms and the names of colors."""
     acc: dict[str, VerificationReport] = {}
     overlap3: list[KiersteadPath] = []
     for r, s1 in (e, e[::-1]):
@@ -349,15 +361,35 @@ def _coloring_reports(col: PartialEdgeColoring, e: tuple[int, int]) -> _Coloring
     return list(acc.values()), overlap3
 
 
+_NAMES = bytes(range(1, 256))
+
+
+def _renamed(colors: bytes) -> bytes:
+    """`colors` with each nonzero value renamed by first appearance to
+    1, 2, ...; 0 stays 0."""
+    firsts = bytes(dict.fromkeys(colors.replace(b"\0", b"")))
+    return colors.translate(bytes.maketrans(firsts, _NAMES[: len(firsts)]))
+
+
 def _color_class_key(col: PartialEdgeColoring, edges: list[tuple[int, int]]) -> bytes:
     """The color of each of `edges` in order, with the colors renamed by
     first appearance and 0 for an uncolored edge: two colorings of one
     graph get the same key iff they differ only in the names of colors."""
-    names: dict[int, int] = {}
-    return bytes(
-        0 if c is None else names.setdefault(c, len(names) + 1)
-        for c in map(col.color_of, edges)
-    )
+    return _renamed(bytes(c or 0 for c in map(col.color_of, edges)))
+
+
+def _orbit_class(key: bytes, actions: list[tuple[int, ...]]) -> tuple[bytes, int]:
+    """The least `_renamed` reading of a `_color_class_key` through the
+    edge actions of a graph's automorphisms, and the index of the first
+    action that gives it. Action i lists, for each edge f, the position of
+    gamma_i(f), so its reading is the key of the coloring f -> col(gamma_i f),
+    the image of col under the automorphism gamma_i^-1; as gamma_i runs over
+    the group, so does its inverse. Two colorings of one graph get the same
+    least reading iff an automorphism and a renaming of colors take one to
+    the other; the uncolored edge is read too, so it moves with them."""
+    readings = [_renamed(bytes(map(key.__getitem__, action))) for action in actions]
+    least = min(readings)
+    return least, readings.index(least)
 
 
 def lemma_sweep(
@@ -369,12 +401,17 @@ def lemma_sweep(
     far end shares at least 3 missing colors with the root pair, each with
     its seed's coloring, for normalization.
 
-    Every seed is solved and counted, but the checks run once per distinct
-    coloring of G - e up to the names of its colors: a seed whose coloring
-    repeats an earlier seed's class replays that class's reports, and its
-    paths are validated on its own coloring. A check failing on a later
-    seed of a class has already failed on the class's first seed, so the
-    first counterexample is the same."""
+    Every seed is solved and counted, but the checks run once per class of
+    colorings of the graph's edge deletions up to the graph's automorphisms
+    and color names (`_orbit_class`). A seed whose coloring falls in an
+    earlier seed's class replays that class's reports; the class's paths,
+    kept in the labels of the class's least reading, are relabelled into
+    the seed's own labels, sorted as `find_kierstead_paths` lists them,
+    and validated on the seed's own coloring. Every report is invariant
+    under relabelling by an automorphism and renaming colors, and a class's
+    first member comes before its other members, so a check failing on a
+    later member has already failed on the first, and the first
+    counterexample is computed fresh."""
     acc: dict[str, VerificationReport] = {}
     k5_instances: list[K5Instance] = []
     for g in corpus:
@@ -383,17 +420,37 @@ def lemma_sweep(
             _accumulate(acc, check_val(g, e))
         for a, b in full_deficiency_pairs(g):
             _accumulate(acc, check_fulldpair_lemma(g, a, b))
+        group = automorphism_group(g.adjacency_masks())
+        index = {f: i for i, f in enumerate(edges)}
+        actions = [
+            tuple(index[edge_key(gamma[u], gamma[v])] for u, v in edges)
+            for gamma in group
+        ]
+        # color class key -> (least reading, automorphism giving it)
+        orbit_classes: dict[bytes, tuple[bytes, Perm]] = {}
+        # least reading -> (reports, overlap-3 paths in the reading's labels)
+        classes: dict[bytes, tuple[list[VerificationReport], list[_Path5]]] = {}
         for e in edges:
-            classes: dict[bytes, _ColoringResult] = {}
             for seed in range(seeds):
                 col = delta_coloring_of_minus_e(g, e, seed=seed)
                 key = _color_class_key(col, edges)
-                if key in classes:
-                    reports, overlap3 = classes[key]
+                if key not in orbit_classes:
+                    least, i = _orbit_class(key, actions)
+                    orbit_classes[key] = least, group[i]
+                least, gamma = orbit_classes[key]
+                if least in classes:
+                    reports, paths = classes[least]
+                    overlap3 = sorted(
+                        (KiersteadPath(tuple(gamma[v] for v in p)) for p in paths),
+                        key=lambda kp: kp.vertices,
+                    )
                     for kp in overlap3:
                         kp.validate(col)
                 else:
-                    reports, overlap3 = classes[key] = _coloring_reports(col, e)
+                    reports, overlap3 = _coloring_reports(col, e)
+                    inverse = {w: v for v, w in enumerate(gamma)}
+                    paths = [tuple(inverse[v] for v in kp.vertices) for kp in overlap3]
+                    classes[least] = reports, paths
                 for rep in reports:
                     _accumulate(acc, rep)
                 k5_instances.extend((g, e, seed, kp, col) for kp in overlap3)

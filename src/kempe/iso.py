@@ -9,7 +9,8 @@ keeps the set of every leaf form of the graphs it has kept, and a child
 whose first leaf form is in that set is a duplicate, so it follows one
 refinement path per duplicate. `automorphisms` returns the generators the
 same search records, so a loop over a graph's vertices, edges or neighbor
-subsets can do its work once per orbit (`orbit_representatives`).
+subsets can do its work once per orbit (`orbit_representatives`), and
+`automorphism_group` lists the whole group they generate.
 Adequate for the desk-scale enumeration (n <= 8); makes no attempt at
 large-graph performance.
 """
@@ -148,6 +149,21 @@ def automorphisms(masks: Masks) -> list[Perm]:
             if sum([1 << gamma[u] for u in bit_positions(mask)]) != masks[gamma[v]]:
                 raise RuntimeError(f"{gamma} is not an automorphism")
     return generators
+
+
+def automorphism_group(masks: Masks) -> list[Perm]:
+    """Every element of the automorphism group, each once, the identity
+    first: the closure of `automorphisms(masks)` under composition."""
+    identity = tuple(range(len(masks)))
+    generators = automorphisms(masks)
+    group, seen = [identity], {identity}
+    for p in group:  # the list grows while it is read
+        for gamma in generators:
+            q = tuple(gamma[v] for v in p)
+            if q not in seen:
+                seen.add(q)
+                group.append(q)
+    return group
 
 
 def masks_isomorphic(m1: Masks, m2: Masks) -> bool:

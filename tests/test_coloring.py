@@ -235,6 +235,29 @@ def test_serialize_roundtrip(pstar):
     assert back == col
 
 
+@pytest.mark.parametrize(
+    "text, error, message",
+    [
+        ("k=2 uncolored=1\n0 1 -\n0 2 1\n1 2 2\n7 9 -\n", ColoringError, "not in"),
+        ("k=2 uncolored=1\n0 1 -\n0 2 1\n1 2 2\n1 2 -\n", ValueError, "listed twice"),
+        ("k=2 uncolored=1\n0 2 1\n1 2 2\n", ValueError, r"\(0, 1\)\] not listed"),
+        ("k=2\n0 1 -\n0 2 1\n1 2 2\n", ValueError, "header"),
+        ("k=2 uncolored=1 k=3\n0 1 -\n0 2 1\n1 2 2\n", ValueError, "header"),
+    ],
+    ids=["non-edge", "repeated-edge", "missing-edge", "no-count", "extra-field"],
+)
+def test_parse_coloring_reads_only_what_serialize_writes(text, error, message):
+    """A coloring text lists every edge of its graph exactly once under the
+    header serialize writes; a non-edge, a repeated or missing edge, and a
+    header with no uncolored count or an extra field are refused, never
+    read as a coloring."""
+    triangle = builtin_fixture("triangle")
+    col = triangle_minus_ab()
+    assert parse_coloring(triangle, col.serialize()) == col
+    with pytest.raises(error, match=message):
+        parse_coloring(triangle, text)
+
+
 def test_out_of_range_pair_is_not_an_edge():
     """A pair with an end outside 0..n-1 is no edge of the graph, also when
     the end is negative and indexing would wrap it round to vertex n-1."""

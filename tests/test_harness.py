@@ -18,7 +18,14 @@ from kempe.classify import (
     vizing_plus_one_coloring,
 )
 from kempe.coloring import PartialEdgeColoring
-from kempe.graph import builtin_fixture, complete_graph, cycle_graph, hypercube_graph
+from kempe.graph import (
+    Graph,
+    builtin_fixture,
+    complete_graph,
+    cycle_graph,
+    edge_key,
+    hypercube_graph,
+)
 from kempe.harness import (
     SWEEP_CHECKS,
     SuiteConfig,
@@ -35,9 +42,11 @@ from kempe.harness import (
     verify_theorem2_entry,
     write_reports,
 )
-from kempe.iso import enumerate_mask_graphs, masks_isomorphic
+from kempe.iso import automorphisms, enumerate_mask_graphs, masks_isomorphic
 from kempe.report import failing, merge_reports, passing, vacuous
+from kempe.structures import KiersteadPath
 
+import oracles
 from oracles import (
     KNOWN_GRAPH_COUNTS,
     bruteforce_unlabeled_count,
@@ -268,6 +277,28 @@ def recolored(col: PartialEdgeColoring, rng: random.Random) -> PartialEdgeColori
     return out
 
 
+def relabelled(col: PartialEdgeColoring, gamma: tuple[int, ...]) -> PartialEdgeColoring:
+    """`col` carried by the automorphism `gamma` of its graph: the edge
+    (gamma u, gamma v) gets the color of (u, v)."""
+    out = PartialEdgeColoring(col.graph, col.k)
+    for (u, v), c in col.colored_edges().items():
+        out.color_edge((gamma[u], gamma[v]), c)
+    return out
+
+
+def record_checked(monkeypatch) -> list[PartialEdgeColoring]:
+    """Make the sweep's class checks record each coloring they run on."""
+    checked = []
+    helper = harness._coloring_reports
+
+    def recording(col, e):
+        checked.append(col)
+        return helper(col, e)
+
+    monkeypatch.setattr(harness, "_coloring_reports", recording)
+    return checked
+
+
 def test_lemma_sweep_matches_reference_sweep(critical_corpus_small):
     reports, instances = lemma_sweep(critical_corpus_small, seeds=8)
     ref_reports, ref_instances = reference_lemma_sweep(
@@ -280,51 +311,96 @@ def test_lemma_sweep_matches_reference_sweep(critical_corpus_small):
 def test_lemma_sweep_replays_a_class_on_later_seeds(monkeypatch):
     """Seeds 1 and 2 rename the colors of the planted host, whose 5-vertex
     path meets the overlap-3 hypothesis and fails the inner-degree claim;
-    seed 3 is solved. The replayed seeds keep their own colorings in the
-    mined instances, and the first counterexample is seed 0's."""
+    seed 3 is solved. Seed 4 is the planted host carried by the
+    automorphism swapping the leaves 6 and 7, which no renaming of colors
+    gives, so only the automorphisms put it in seed 0's class. The replayed
+    seeds keep their own colorings and validated paths in the mined
+    instances, and the first counterexample is seed 0's."""
     planted, path = planted_class1_host()
     g = planted.graph
+    edges = g.edges()
     solve = harness.delta_coloring_of_minus_e
     rng = random.Random(12)
+    swap67 = (0, 1, 2, 3, 4, 5, 7, 6)
     colorings = [planted, recolored(planted, rng), recolored(planted, rng)]
     colorings.append(solve(g, (0, 1), seed=3))
+    colorings.append(relabelled(planted, swap67))
     assert colorings[1] != planted
+    assert swap67 in automorphisms(g.adjacency_masks())
+    assert harness._color_class_key(colorings[4], edges) != harness._color_class_key(
+        planted, edges
+    )
 
     def planted_first(h, e, seed=0):
         return colorings[seed] if e == (0, 1) else solve(h, e, seed=seed)
 
     monkeypatch.setattr(harness, "delta_coloring_of_minus_e", planted_first)
-    reports, instances = lemma_sweep((g,), seeds=4)
-    ref_reports, ref_instances = reference_lemma_sweep((g,), 4, planted_first)
+    checked = record_checked(monkeypatch)
+    reports, instances = lemma_sweep((g,), seeds=5)
+    ref_reports, ref_instances = reference_lemma_sweep((g,), 5, planted_first)
     assert [r.to_dict() for r in reports] == [r.to_dict() for r in ref_reports]
     assert instances == ref_instances
+    assert any(col is planted for col in checked)
+    assert not any(col is colorings[s] for col in checked for s in (1, 2, 4))
     planted_instances = [
         (seed, kp, col) for _, e, seed, kp, col in instances if e == (0, 1)
     ]
-    assert [(seed, kp) for seed, kp, _ in planted_instances][:3] == [
-        (0, path), (1, path), (2, path)
+    assert [(seed, kp) for seed, kp, _ in planted_instances if seed != 3] == [
+        (0, path), (1, path), (2, path), (4, path)
     ]
     assert all(col is colorings[seed] for seed, _, col in planted_instances)
+    for _, kp, col in planted_instances:
+        kp.validate(col)
     k5 = reports[SWEEP_CHECKS.index("kierstead5-degrees")]
     assert not k5.passed
     assert k5.counterexample["coloring"] == planted.serialize()
 
 
+def test_lemma_sweep_moves_paths_across_an_edge_orbit(monkeypatch):
+    """Two disjoint copies of the planted host, the second fully colored:
+    swapping the copies takes the coloring of G - (0, 1) to one of
+    G - (8, 9), so that seed replays the class of (0, 1), and its
+    5-vertex path is the first one moved into the second copy."""
+    planted, path = planted_class1_host()
+    h = planted.graph
+    g = Graph(2 * h.n, h.edges() + [(u + h.n, v + h.n) for u, v in h.edges()])
+    swap = tuple(range(h.n, 2 * h.n)) + tuple(range(h.n))
+    first = PartialEdgeColoring(g, planted.k)
+    for (u, v), c in planted.colored_edges().items():
+        first.color_edge((u, v), c)
+        first.color_edge((u + h.n, v + h.n), c)
+    first.color_edge((h.n, h.n + 1), 2)  # both root ends miss 2
+    second = relabelled(first, swap)
+    moved = KiersteadPath(tuple(v + h.n for v in path.vertices))
+    solve = harness.delta_coloring_of_minus_e
+    planted_at = {(0, 1): first, (8, 9): second}
+
+    def planted_first(graph, e, seed=0):
+        return planted_at[e] if e in planted_at else solve(graph, e, seed=seed)
+
+    monkeypatch.setattr(harness, "delta_coloring_of_minus_e", planted_first)
+    checked = record_checked(monkeypatch)
+    reports, instances = lemma_sweep((g,), seeds=1)
+    ref_reports, ref_instances = reference_lemma_sweep((g,), 1, planted_first)
+    assert [r.to_dict() for r in reports] == [r.to_dict() for r in ref_reports]
+    assert instances == ref_instances
+    assert any(col is first for col in checked)
+    assert not any(col is second for col in checked)
+    assert (g, (8, 9), 0, moved, second) in instances
+    k5 = reports[SWEEP_CHECKS.index("kierstead5-degrees")]
+    assert k5.counterexample["coloring"] == first.serialize()
+
+
 def test_lemma_sweep_checks_each_color_class_once(monkeypatch):
     """At n <= 7 and 8 seeds the 2,576 colorings of the edge deletions
-    fall into 1,407 classes up to the names of colors."""
-    calls = []
-    helper = harness._coloring_reports
-
-    def counting(col, e):
-        calls.append(e)
-        return helper(col, e)
-
-    monkeypatch.setattr(harness, "_coloring_reports", counting)
+    fall into 460 classes up to the graph's automorphisms and the names of
+    colors (1,407 up to the names of colors alone). At 32 seeds the 10,304
+    colorings fall into 546 such classes."""
+    checked = record_checked(monkeypatch)
     corpus = delta_critical_corpus(7)
     lemma_sweep(corpus, seeds=8)
     assert 8 * sum(g.edge_count() for g in corpus) == 2576
-    assert len(calls) == 1407
+    assert len(checked) == 460
 
 
 def test_coloring_checks_ignore_color_names():
@@ -345,6 +421,89 @@ def test_coloring_checks_ignore_color_names():
                 assert paths == other_paths
                 key = harness._color_class_key(col, edges)
                 assert key == harness._color_class_key(other, edges)
+
+
+def label_free(rep) -> dict:
+    """A report's dict without the counterexample of a failing report,
+    which names the coloring it failed on: the sweep keeps only the first
+    counterexample, and a class's first member is checked fresh."""
+    d = rep.to_dict()
+    if not rep.passed:
+        del d["counterexample"]
+    return d
+
+
+def assert_coloring_checks_are_equivariant(colorings) -> int:
+    """For each (coloring of G - e, e) and each generator gamma of Aut(G):
+    the coloring carried by gamma, checked at gamma(e), gets the same
+    reports, and its overlap-3 paths are the gamma-images of the original
+    ones, sorted. Returns the number of paths compared."""
+    compared = 0
+    for col, e in colorings:
+        reports, paths = harness._coloring_reports(col, e)
+        for gamma in automorphisms(col.graph.adjacency_masks()):
+            image_reports, image_paths = harness._coloring_reports(
+                relabelled(col, gamma), edge_key(gamma[e[0]], gamma[e[1]])
+            )
+            assert [label_free(r) for r in image_reports] == [
+                label_free(r) for r in reports
+            ]
+            assert image_paths == sorted(
+                (KiersteadPath(tuple(gamma[v] for v in kp.vertices)) for kp in paths),
+                key=lambda kp: kp.vertices,
+            )
+            compared += len(paths)
+    return compared
+
+
+def corpus_colorings(corpus, seeds):
+    return [
+        (delta_coloring_of_minus_e(g, e, seed=seed), e)
+        for g in corpus
+        for e in g.edges()
+        for seed in range(seeds)
+    ]
+
+
+def test_coloring_checks_are_equivariant():
+    """A check whose report changes under an automorphism would make one
+    orbit class's replayed reports wrong for its other members: the
+    corpus colorings at seeds 0 and 1 must keep their reports under every
+    generator of Aut(G). The planted host, whose 5-vertex path meets the
+    overlap-3 hypothesis, checks that the paths move with the generator."""
+    planted, _ = planted_class1_host()
+    colorings = corpus_colorings(delta_critical_corpus(7), 2)
+    assert all(
+        rep.passed
+        for col, e in colorings
+        for rep in harness._coloring_reports(col, e)[0]
+    )
+    assert assert_coloring_checks_are_equivariant(colorings) == 0
+    assert assert_coloring_checks_are_equivariant([(planted, (0, 1))]) > 0
+
+
+def test_a_check_reading_vertex_labels_is_caught(monkeypatch, critical_corpus_small):
+    """Negative control: a fork check that adds the uncolored edge's lower
+    end to a numeric detail is not equivariant. The equivariance test
+    fails on it, and the sweep no longer matches the reference sweep, which
+    runs the same check on every seed."""
+    fork_absence = harness.check_fork_absence
+
+    def labelled(col):
+        rep = fork_absence(col)
+        rep.details["root"] = col.uncolored_edges()[0][0]
+        return rep
+
+    for module in (harness, oracles):
+        monkeypatch.setattr(module, "check_fork_absence", labelled)
+    colorings = corpus_colorings(critical_corpus_small, 1)
+    with pytest.raises(AssertionError):
+        assert_coloring_checks_are_equivariant(colorings)
+    reports, _ = lemma_sweep(critical_corpus_small, seeds=2)
+    ref_reports, _ = reference_lemma_sweep(
+        critical_corpus_small, 2, delta_coloring_of_minus_e
+    )
+    assert [r.to_dict() for r in reports] != [r.to_dict() for r in ref_reports]
 
 
 def test_merge_is_associative_and_keeps_the_first():

@@ -14,6 +14,7 @@ from kempe.graph import Graph
 import kempe.iso as iso
 from kempe.iso import (
     _leaves,
+    automorphism_group,
     automorphisms,
     certificate,
     enumerate_mask_graphs,
@@ -264,6 +265,18 @@ def test_automorphisms_generate_the_networkx_group(name):
     assert group_order(gens, g.n) == nx_group_order(G)
     if name == "trivial":
         assert nx_group_order(G) == 1
+
+
+@pytest.mark.parametrize("name", sorted(GROUPS))
+def test_automorphism_group_lists_the_networkx_group(name):
+    """Every automorphism once, the identity first: as many elements as
+    networkx finds, each preserving the edges."""
+    G = GROUPS[name]
+    g = to_graph(G)
+    group = automorphism_group(g.adjacency_masks())
+    assert group[0] == tuple(range(g.n))
+    assert len(set(group)) == len(group) == nx_group_order(G)
+    assert all(preserves_edges(to_nx(g), gamma) for gamma in group)
 
 
 @given(graphs(max_n=7), st.randoms(use_true_random=False))
