@@ -13,7 +13,7 @@ from enum import Enum
 
 from .coloring import ColoringError, PartialEdgeColoring
 from .graph import Edge, Graph, edge_key
-from .iso import automorphisms, orbit_representatives
+from .iso import automorphisms, edge_actions, orbit_representatives
 
 
 class GraphClass(Enum):
@@ -339,11 +339,7 @@ def all_edges_critical(g: Graph) -> bool:
     `g.edges()` order, is solved."""
     delta = g.max_degree()
     edges = g.edges()
-    index = {e: i for i, e in enumerate(edges)}
-    actions = [
-        tuple(index[edge_key(gamma[u], gamma[v])] for u, v in edges)
-        for gamma in automorphisms(g.adjacency_masks())
-    ]
+    actions = edge_actions(edges, automorphisms(g.adjacency_masks()))
     return all(
         find_edge_coloring(g.without_edge(edges[i]), delta) is not None
         for i in orbit_representatives(len(edges), actions)

@@ -28,7 +28,6 @@ from .graph import (
     Multigraph,
     SplitSpec,
     complete_graph,
-    edge_key,
     full_deficiency_pairs,
     identification_map,
     identify_pair,
@@ -42,6 +41,7 @@ from .iso import (
     Perm,
     automorphism_group,
     automorphisms,
+    edge_actions,
     enumerate_mask_graphs,
     orbit_representatives,
 )
@@ -421,11 +421,7 @@ def lemma_sweep(
         for a, b in full_deficiency_pairs(g):
             _accumulate(acc, check_fulldpair_lemma(g, a, b))
         group = automorphism_group(g.adjacency_masks())
-        index = {f: i for i, f in enumerate(edges)}
-        actions = [
-            tuple(index[edge_key(gamma[u], gamma[v])] for u, v in edges)
-            for gamma in group
-        ]
+        actions = edge_actions(edges, group)
         # color class key -> (least reading, automorphism giving it)
         orbit_classes: dict[bytes, tuple[bytes, Perm]] = {}
         # least reading -> (reports, overlap-3 paths in the reading's labels)

@@ -9,8 +9,9 @@ keeps the set of every leaf form of the graphs it has kept, and a child
 whose first leaf form is in that set is a duplicate, so it follows one
 refinement path per duplicate. `automorphisms` returns the generators the
 same search records, so a loop over a graph's vertices, edges or neighbor
-subsets can do its work once per orbit (`orbit_representatives`), and
-`automorphism_group` lists the whole group they generate.
+subsets can do its work once per orbit (`orbit_representatives`; edges
+through `edge_actions`), and `automorphism_group` lists the whole group
+they generate.
 Adequate for the desk-scale enumeration (n <= 8); makes no attempt at
 large-graph performance.
 """
@@ -19,7 +20,7 @@ from __future__ import annotations
 
 from typing import Iterator
 
-from .graph import bit_positions
+from .graph import Edge, bit_positions, edge_key
 
 Masks = tuple[int, ...]
 Perm = tuple[int, ...]  # vertex v goes to perm[v]
@@ -164,6 +165,17 @@ def automorphism_group(masks: Masks) -> list[Perm]:
                 seen.add(q)
                 group.append(q)
     return group
+
+
+def edge_actions(edges: list[Edge], perms: list[Perm]) -> list[Perm]:
+    """Each vertex permutation in `perms` acting on the positions of
+    `edges`: position i goes to the position of (gamma u, gamma v) for
+    edges[i] = (u, v). `edges` must hold every image."""
+    index = {e: i for i, e in enumerate(edges)}
+    return [
+        tuple(index[edge_key(gamma[u], gamma[v])] for u, v in edges)
+        for gamma in perms
+    ]
 
 
 def masks_isomorphic(m1: Masks, m2: Masks) -> bool:
