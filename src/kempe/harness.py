@@ -564,8 +564,8 @@ class SuiteResult:
 
 def run_suite(config: SuiteConfig) -> SuiteResult:
     """Execute the requested verification suite; `write_reports` writes
-    its result. A config that would make every check vacuous is a
-    `ValueError`, raised before any work."""
+    its result. A config that makes every check vacuous or reads the corpus
+    past the enumeration budget is a `ValueError`, raised before any work."""
     if config.suite not in SUITES:
         raise ValueError(
             f"unknown suite {config.suite!r} (expected one of {', '.join(SUITES)})"
@@ -574,6 +574,8 @@ def run_suite(config: SuiteConfig) -> SuiteResult:
         raise ValueError(f"n_max must be at least 1, got {config.n_max}")
     if config.seeds < 1:
         raise ValueError(f"seeds must be at least 1, got {config.seeds}")
+    if config.suite != "theorem1":
+        _check_enumeration_budget(config.n_max)
     reports: list[VerificationReport] = []
     if config.suite in ("default", "theorem1"):
         for n in (4, 6):

@@ -5,13 +5,12 @@ tuple over the leaves of an individualise-refine search (McKay & Piperno,
 *Practical graph isomorphism II*, 2014), with the search pruned by the
 automorphisms its leaves reveal. Two graphs are isomorphic exactly when
 their certificates are equal. Enumeration up to isomorphism needs less: it
-keeps the set of every leaf form of the graphs it has kept, and a child
-whose first leaf form is in that set is a duplicate, so it follows one
-refinement path per duplicate. `automorphisms` returns the generators the
-same search records, so a loop over a graph's vertices, edges or neighbor
-subsets can do its work once per orbit (`orbit_representatives`; edges
-through `edge_actions`), and `automorphism_group` lists the whole group
-they generate.
+joins a new vertex of maximum degree to each graph one vertex smaller, and
+a child whose first leaf form is among the leaf forms of the graphs kept
+so far is a duplicate, found by one refinement path. `automorphisms`
+returns the generators the search records, so a loop over a graph's
+vertices or edges can do its work once per orbit (`orbit_representatives`;
+edges through `edge_actions`), and `automorphism_group` lists the group.
 Adequate for the desk-scale enumeration (n <= 8); makes no attempt at
 large-graph performance.
 """
@@ -185,29 +184,20 @@ def masks_isomorphic(m1: Masks, m2: Masks) -> bool:
 _ENUM_CACHE: dict[int, tuple[Masks, ...]] = {}
 
 
-def _subset_action(gamma: Perm) -> Perm:
-    """gamma acting on the subsets of its vertices, as bit masks."""
-    image = [0] * (1 << len(gamma))
-    for subset in range(1, 1 << len(gamma)):
-        low = subset & -subset
-        image[subset] = image[subset ^ low] | 1 << gamma[low.bit_length() - 1]
-    return tuple(image)
-
-
 def enumerate_mask_graphs(n: int) -> tuple[Masks, ...]:
     """All simple graphs on n vertices up to isomorphism, as adjacency-mask
-    tuples, by augmenting the (n-1)-vertex list with one new vertex and
-    keeping each child that is isomorphic to no child kept before it. Every
-    labelling of a graph has the same set of leaf forms (`_leaves`), and
-    graphs that are not isomorphic share none, so a child is new exactly
-    when its first leaf form is not among the forms of the kept children;
-    those of a kept child are all added. A parent automorphism taking one
-    neighbor subset to another makes their children isomorphic, so only
-    the least subset of each orbit under the parent's `automorphisms` is
-    tried (McKay, *Isomorph-free exhaustive generation*, 1998): a skipped
-    subset's child is isomorphic to one tried before it, so the output is
-    that of trying every subset. The result is an immutable tuple, so
-    callers cannot alter the cache."""
+    tuples: each graph on n - 1 vertices gains a new vertex of maximum
+    degree in every way, and a child isomorphic to one kept before it is
+    dropped. Every graph is G' + v with v of maximum degree and G' listed up
+    to isomorphism, so no class is missed (the vertex-invariant half of
+    McKay's canonical deletion, *Isomorph-free exhaustive generation*,
+    1998). With D the parent's maximum degree and F its vertices of degree
+    D, neighbor set S gives the new vertex maximum degree exactly when
+    |S| > D, or |S| == D and S misses F. Every labelling of a graph has the
+    same leaf forms (`_leaves`) and non-isomorphic graphs share none, so a
+    child is new exactly when its first leaf form is not among those of the
+    kept children. The result is an immutable tuple, so callers cannot
+    alter the cache."""
     if n < 0:
         raise ValueError("n must be non-negative")
     if n in _ENUM_CACHE:
@@ -220,8 +210,13 @@ def enumerate_mask_graphs(n: int) -> tuple[Masks, ...]:
     seen: set[Masks] = set()
     new = n - 1
     for parent in enumerate_mask_graphs(n - 1):
-        actions = [_subset_action(gamma) for gamma in automorphisms(parent)]
-        for subset in orbit_representatives(1 << new, actions):
+        deg = [m.bit_count() for m in parent]
+        top = max(deg, default=0)
+        full = sum([1 << v for v in range(new) if deg[v] == top])
+        for subset in range(1 << new):
+            size = subset.bit_count()
+            if size < top or size == top and subset & full:
+                continue
             child = tuple(
                 parent[v] | (1 << new if subset >> v & 1 else 0)
                 for v in range(new)

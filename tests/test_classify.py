@@ -37,8 +37,9 @@ from oracles import reference_delta_coloring_of_minus_e, reference_find_edge_col
 # sha256 of the repr of find_edge_coloring(g, Delta, seed=s) over the
 # enumerated graphs with edges and n <= 6, s in (None, 0, 1): each result as
 # its sorted colour items, or None for a refutation. Any change to the search
-# order, the seeded relabelling or the symmetry breaking changes it.
-SOLVER_DIGEST = "d1aaf6c15f9c49a7b5a11b12b7c7fbe0e1e002aa6851b75275b0764fc3e6e405"
+# order, the seeded relabelling, the symmetry breaking or the enumeration's
+# labelled representatives changes it.
+SOLVER_DIGEST = "5832e4b61f73ec3fbafe1b60e93ea6b0356b4b54f2c3774f5bd3eb0008180cfb"
 
 
 def test_exact_chromatic_index_fixtures(k4, k6, pstar, c5):

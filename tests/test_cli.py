@@ -125,6 +125,7 @@ def test_verify_small_suite(capsys, tmp_path: Path):
         (["--seeds", "0"], "seeds must be at least 1, got 0"),
         (["--n-max", "0"], "n_max must be at least 1, got 0"),
         (["--n-max", "-3"], "n_max must be at least 1, got -3"),
+        (["--n-max", "9"], "enumeration is budgeted for n <= 8"),
     ],
 )
 def test_vacuous_verify_is_usage_error(capsys, tmp_path: Path, argv, message):

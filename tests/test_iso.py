@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import functools
 import random
 from collections import defaultdict
 from itertools import combinations
@@ -315,11 +316,12 @@ def test_corrupted_leaf_raises(monkeypatch):
         automorphisms(path)
 
 
-def every_subset_enumeration(n: int) -> list[tuple[int, ...]]:
+@functools.cache
+def every_subset_enumeration(n: int) -> tuple[tuple[int, ...], ...]:
     """Augment each graph on n - 1 vertices by every neighbor subset of a
     new vertex and keep the children with new certificates."""
     if n == 1:
-        return [(0,)]
+        return ((0,),)
     out, seen = [], set()
     new = n - 1
     for parent in every_subset_enumeration(n - 1):
@@ -331,18 +333,30 @@ def every_subset_enumeration(n: int) -> list[tuple[int, ...]]:
             if key not in seen:
                 seen.add(key)
                 out.append(child)
-    return out
+    return tuple(out)
 
 
-def test_orbit_pruned_enumeration_equals_every_subset():
+def certificates(graphs) -> list[tuple[int, ...]]:
+    return [certificate(masks) for masks in graphs]
+
+
+def test_enumeration_has_the_classes_of_every_subset():
+    """The degree test keeps every class: the outputs' certificates are
+    those of the unfiltered reference, no two outputs share one, and each
+    output's last vertex, the one its parent gained, has maximum degree."""
     for n in range(1, 8):
-        assert list(enumerate_mask_graphs(n)) == every_subset_enumeration(n)
+        graphs = enumerate_mask_graphs(n)
+        forms = certificates(graphs)
+        assert len(set(forms)) == len(forms)
+        assert set(forms) == set(certificates(every_subset_enumeration(n)))
+        for masks in graphs:
+            assert masks[-1].bit_count() == max(m.bit_count() for m in masks)
 
 
 def test_enumeration_makes_no_certificate_call(monkeypatch):
     """Duplicates are found by a child's first leaf form, not by a full
     canonical form; the work is pinned by the refinement count."""
-    expected = every_subset_enumeration(7)
+    expected = set(certificates(every_subset_enumeration(7)))
     calls = []
     refine = iso.refinement_colors
 
@@ -356,5 +370,19 @@ def test_enumeration_makes_no_certificate_call(monkeypatch):
     monkeypatch.setattr(iso, "certificate", no_certificate)
     monkeypatch.setattr(iso, "refinement_colors", counted)
     monkeypatch.setattr(iso, "_ENUM_CACHE", {})
-    assert list(enumerate_mask_graphs(7)) == expected
-    assert len(calls) == 20277
+    graphs = enumerate_mask_graphs(7)
+    assert len(calls) == 12671
+    assert set(certificates(graphs)) == expected
+
+
+def test_enumeration_searches_no_automorphisms(monkeypatch):
+    """The degree test alone prunes the children: no parent's
+    automorphism group is searched."""
+
+    def no_search(*args):
+        raise AssertionError("enumeration searched for automorphisms")
+
+    monkeypatch.setattr(iso, "automorphisms", no_search)
+    monkeypatch.setattr(iso, "orbit_representatives", no_search)
+    monkeypatch.setattr(iso, "_ENUM_CACHE", {})
+    assert len(enumerate_mask_graphs(7)) == 1044
