@@ -4,11 +4,8 @@ import hashlib
 import json
 import random
 import types
-from collections import defaultdict
-from itertools import combinations
 from pathlib import Path
 
-import networkx as nx
 import pytest
 
 import kempe
@@ -41,13 +38,15 @@ from kempe.harness import (
     round_robin_one_factorization,
     run_suite,
     verify_corollary_entry,
+    verify_normalization,
     verify_theorem1,
     verify_theorem2_entry,
     write_reports,
 )
 from kempe.iso import automorphisms, enumerate_mask_graphs, masks_isomorphic
+from kempe.normalize import HypothesisError, normalize_k5
 from kempe.report import failing, merge_reports, passing, vacuous
-from kempe.structures import KiersteadPath
+from kempe.structures import KiersteadPath, find_kierstead_paths
 
 import oracles
 from oracles import (
@@ -106,20 +105,15 @@ def test_enumerate_graphs_upto_streams(monkeypatch):
     assert orders == list(range(1, 7))
 
 
-def test_enumeration_members_distinct():
-    """No two enumerated graphs on n <= 7 vertices are isomorphic, by
-    networkx within each bucket of equal sorted degree sequence, so the
-    oracle shares no code with the library's canonical form (0.75 s
-    on a 2-core host, enumeration cached)."""
+def test_enumerated_graphs_are_their_masks():
+    """`enumerate_graphs` builds one `Graph` per enumerated mask tuple, in
+    order, with the same adjacency; `tests/test_iso.py` checks by networkx
+    that the mask tuples are pairwise non-isomorphic."""
     for n in range(1, 8):
-        buckets = defaultdict(list)
-        for g in enumerate_graphs(n):
-            G = nx.empty_graph(g.n)
-            G.add_edges_from(g.edges())
-            buckets[tuple(sorted(d for _, d in G.degree()))].append(G)
-        for bucket in buckets.values():
-            for G, H in combinations(bucket, 2):
-                assert not nx.is_isomorphic(G, H)
+        masks = enumerate_mask_graphs(n)
+        graphs = enumerate_graphs(n)
+        assert len(graphs) == len(masks)
+        assert [g.adjacency_masks() for g in graphs] == list(masks)
 
 
 def test_round_robin_one_factorization():
@@ -263,6 +257,25 @@ def test_mining_vacuous_on_small_corpus(critical_corpus_small):
     assert instances == []
 
 
+def test_normalization_counts_only_instances_meeting_the_hypothesis():
+    """A 5-vertex path on a corpus coloring whose far end shares fewer than
+    3 missing colors with the root pair is refused by `normalize_k5`, so
+    the check meets no instance and is vacuous, not passed once."""
+    for g in delta_critical_corpus(7):
+        e = g.edges()[0]
+        col = delta_coloring_of_minus_e(g, e)
+        paths = find_kierstead_paths(col, 4)
+        if paths:
+            break
+    else:
+        raise AssertionError("no corpus coloring has a 5-vertex path")
+    with pytest.raises(HypothesisError):
+        normalize_k5(col, paths[0])
+    rep = verify_normalization([(g, e, 0, paths[0], col)])
+    assert rep.passed and not rep.fired
+    assert rep.details == {"reason": "hypothesis-unmet"}
+
+
 def test_lemma_suite_solves_each_coloring_once(monkeypatch):
     monkeypatch.setattr(harness, "_CRITICAL_CACHE", {})
     seen = []
@@ -320,14 +333,15 @@ def test_lemma_sweep_matches_reference_sweep(critical_corpus_small):
     assert instances == ref_instances
 
 
-def test_lemma_sweep_replays_a_class_on_later_seeds(monkeypatch):
+def test_lemma_sweep_checks_a_path_class_on_every_seed(monkeypatch):
     """Seeds 1 and 2 rename the colors of the planted host, whose 5-vertex
     path meets the overlap-3 hypothesis and fails the inner-degree claim;
     seed 3 is solved. Seed 4 is the planted host carried by the
     automorphism swapping the leaves 6 and 7, which no renaming of colors
-    gives, so only the automorphisms put it in seed 0's class. The replayed
-    seeds keep their own colorings and validated paths in the mined
-    instances, and the first counterexample is seed 0's."""
+    gives, so only the automorphisms put it in seed 0's class. A class
+    with such a path is not replayed: seeds 0, 1, 2 and 4 are each checked
+    on their own coloring and mine their own validated path, and the first
+    counterexample is seed 0's."""
     planted, path = planted_class1_host()
     g = planted.graph
     edges = g.edges()
@@ -352,8 +366,8 @@ def test_lemma_sweep_replays_a_class_on_later_seeds(monkeypatch):
     ref_reports, ref_instances = reference_lemma_sweep((g,), 5, planted_first)
     assert [r.to_dict() for r in reports] == [r.to_dict() for r in ref_reports]
     assert instances == ref_instances
-    assert any(col is planted for col in checked)
-    assert not any(col is colorings[s] for col in checked for s in (1, 2, 4))
+    for s in (0, 1, 2, 4):
+        assert sum(col is colorings[s] for col in checked) == 1
     planted_instances = [
         (seed, kp, col) for _, e, seed, kp, col in instances if e == (0, 1)
     ]
@@ -371,8 +385,9 @@ def test_lemma_sweep_replays_a_class_on_later_seeds(monkeypatch):
 def test_lemma_sweep_moves_paths_across_an_edge_orbit(monkeypatch):
     """Two disjoint copies of the planted host, the second fully colored:
     swapping the copies takes the coloring of G - (0, 1) to one of
-    G - (8, 9), so that seed replays the class of (0, 1), and its
-    5-vertex path is the first one moved into the second copy."""
+    G - (8, 9), so both fall in one class. The class has a 5-vertex path
+    that meets the overlap-3 hypothesis, so both copies are checked, and
+    G - (8, 9) mines the path moved into the second copy."""
     planted, path = planted_class1_host()
     h = planted.graph
     g = Graph(2 * h.n, h.edges() + [(u + h.n, v + h.n) for u, v in h.edges()])
@@ -397,7 +412,7 @@ def test_lemma_sweep_moves_paths_across_an_edge_orbit(monkeypatch):
     assert [r.to_dict() for r in reports] == [r.to_dict() for r in ref_reports]
     assert instances == ref_instances
     assert any(col is first for col in checked)
-    assert not any(col is second for col in checked)
+    assert any(col is second for col in checked)
     assert (g, (8, 9), 0, moved, second) in instances
     k5 = reports[SWEEP_CHECKS.index("kierstead5-degrees")]
     assert k5.counterexample["coloring"] == first.serialize()

@@ -6,6 +6,7 @@ graph's adjacency and a coloring's state, is read by its own module only."""
 from __future__ import annotations
 
 import ast
+import importlib.util
 from pathlib import Path
 
 import kempe
@@ -104,3 +105,17 @@ def test_an_unused_function_is_found(tmp_path: Path):
         "def _private():\n    return Public, used\n"
     )
     assert unreferenced_public_names(tmp_path) == {"lonely"}
+
+
+def test_benchmark_layers_name_library_functions():
+    """`benchmark/layers.py` wraps each (module, function) of `LAYERS` when
+    a run is traced and fails at install on a missing name, so each one
+    must resolve to a callable of the library."""
+    path = Path(__file__).parent.parent / "benchmark" / "layers.py"
+    spec = importlib.util.spec_from_file_location("benchmark_layers", path)
+    layers = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(layers)
+    for module, functions in layers.LAYERS.items():
+        library = importlib.import_module(module)
+        for name in functions:
+            assert callable(getattr(library, name, None)), (module, name)
