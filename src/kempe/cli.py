@@ -1,6 +1,13 @@
 """Command-line surface: classify, color, criticality, structure search,
-and the verification suite. Graphs are read as graph6, one per line, from
-arguments, files, or standard input; --json switches machine output.
+and the verification suite. Graphs are read as graph6 or fixture names
+(in any case), one per line, from arguments, files, or standard input.
+
+Every per-graph command runs through one driver, `_run_graph_command`: the
+command answers one graph with a JSON payload and a plain text, and the
+driver prints that answer, the payload under --json, before it loads the
+next graph. `color --out FILE` writes every graph's plain colouring to
+FILE in input order instead; `verify --out DIR` replaces the check files
+of the run that DIR last held.
 
 Exit codes: 0 success, 1 check failure, 2 usage error, 3 solver budget
 exhausted.
@@ -9,6 +16,7 @@ exhausted.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import sys
 from pathlib import Path
@@ -54,163 +62,107 @@ def _parse_edge(text: str) -> tuple[int, int]:
     return int(u), int(v)
 
 
-def _emit(args, payload: dict, plain: str) -> None:
-    if args.json:
-        print(json.dumps(payload, sort_keys=True))
-    else:
-        print(plain)
-
-
 def _load(line: str) -> Graph:
-    if line in fixture_names():
+    if line.lower() in fixture_names():
         return builtin_fixture(line)
     return from_graph6(line)
 
 
-def cmd_classify(args) -> int:
-    for line in _graph_sources(args):
-        g = _load(line)
-        chi = exact_chromatic_index(g)
-        cls = GraphClass.CLASS1 if chi == g.max_degree() else GraphClass.CLASS2
-        _emit(
-            args,
-            {
-                "graph6": to_graph6(g),
-                "class": cls.value,
-                "chromatic_index": chi,
-                "max_degree": g.max_degree(),
-            },
-            f"{cls} (chi'={chi}, Delta={g.max_degree()})",
-        )
+def _run_graph_command(args) -> int:
+    """Answer each input graph before loading the next: print the command's
+    plain text, or its JSON payload with the input's graph6 added. With
+    `--out`, the plain texts go to that file, created at the first answer."""
+    with contextlib.ExitStack() as stack:
+        out = None
+        for line in _graph_sources(args):
+            g = _load(line)
+            payload, plain = args.answer(args, g)
+            if getattr(args, "out", None):
+                if out is None:
+                    out = stack.enter_context(open(args.out, "w"))
+                print(plain, file=out)
+            elif args.json:
+                print(json.dumps({"graph6": to_graph6(g), **payload}, sort_keys=True))
+            else:
+                print(plain)
     return 0
 
 
-def cmd_color(args) -> int:
-    for line in _graph_sources(args):
-        g = _load(line)
-        if args.exact:
-            delta = g.max_degree()
-            col = find_edge_coloring(g, delta)
-            if col is None:
-                col = vizing_plus_one_coloring(g)
-        else:
-            col = vizing_plus_one_coloring(g)
-        text = col.serialize()
-        if args.out:
-            with open(args.out, "w") as fh:
-                fh.write(text)
-        elif args.json:
-            print(
-                json.dumps(
-                    {
-                        "graph6": to_graph6(g),
-                        "k": col.k,
-                        "colors": {
-                            f"{u},{v}": c
-                            for (u, v), c in sorted(col.colored_edges().items())
-                        },
-                    },
-                    sort_keys=True,
-                )
-            )
-        else:
-            sys.stdout.write(text)
-    return 0
+def cmd_classify(args, g: Graph) -> tuple[dict, str]:
+    chi = exact_chromatic_index(g)
+    cls = GraphClass.CLASS1 if chi == g.max_degree() else GraphClass.CLASS2
+    return (
+        {"class": cls.value, "chromatic_index": chi, "max_degree": g.max_degree()},
+        f"{cls} (chi'={chi}, Delta={g.max_degree()})",
+    )
 
 
-def cmd_overfull(args) -> int:
-    for line in _graph_sources(args):
-        g = _load(line)
-        m, bound = g.edge_count(), g.max_degree() * (g.n // 2)
-        flag = is_overfull(g)
-        _emit(
-            args,
-            {"graph6": to_graph6(g), "overfull": flag, "edges": m, "bound": bound},
-            f"overfull: {'true' if flag else 'false'} (|E|={m} "
-            f"{'>' if flag else '<='} {bound})",
-        )
-    return 0
+def cmd_color(args, g: Graph) -> tuple[dict, str]:
+    col = find_edge_coloring(g, g.max_degree()) if args.exact else None
+    if col is None:
+        col = vizing_plus_one_coloring(g)
+    colors = {f"{u},{v}": c for (u, v), c in sorted(col.colored_edges().items())}
+    return {"k": col.k, "colors": colors}, col.serialize().removesuffix("\n")
 
 
-def cmd_pairs(args) -> int:
-    for line in _graph_sources(args):
-        g = _load(line)
-        pairs = full_deficiency_pairs(g)
-        _emit(
-            args,
-            {"graph6": to_graph6(g), "pairs": [list(p) for p in pairs]},
-            f"full-deficiency pairs: {pairs if pairs else 'none'}",
-        )
-    return 0
+def cmd_overfull(args, g: Graph) -> tuple[dict, str]:
+    m, bound = g.edge_count(), g.max_degree() * (g.n // 2)
+    flag = is_overfull(g)
+    return (
+        {"overfull": flag, "edges": m, "bound": bound},
+        f"overfull: {'true' if flag else 'false'} (|E|={m} "
+        f"{'>' if flag else '<='} {bound})",
+    )
 
 
-def cmd_critical(args) -> int:
-    for line in _graph_sources(args):
-        g = _load(line)
-        if args.edge:
-            e = _parse_edge(args.edge)
-            flag = is_critical_edge(g, e)
-            _emit(
-                args,
-                {"graph6": to_graph6(g), "edge": list(e), "critical": flag},
-                f"edge {e}: {'critical' if flag else 'not critical'}",
-            )
-        else:
-            flag = is_delta_critical(g)
-            _emit(
-                args,
-                {"graph6": to_graph6(g), "delta_critical": flag},
-                f"Delta-critical: {'true' if flag else 'false'}",
-            )
-    return 0
+def cmd_pairs(args, g: Graph) -> tuple[dict, str]:
+    pairs = full_deficiency_pairs(g)
+    return (
+        {"pairs": [list(p) for p in pairs]},
+        f"full-deficiency pairs: {pairs if pairs else 'none'}",
+    )
 
 
-def cmd_split(args) -> int:
-    for line in _graph_sources(args):
-        g = _load(line)
-        part = frozenset(int(x) for x in args.part.split(","))
-        h = split_vertex(g, SplitSpec(args.vertex, part))
-        _emit(
-            args,
-            {"graph6": to_graph6(h), "n": h.n, "edges": h.edge_count()},
-            to_graph6(h),
-        )
-    return 0
-
-
-def cmd_structures(args) -> int:
-    for line in _graph_sources(args):
-        g = _load(line)
+def cmd_critical(args, g: Graph) -> tuple[dict, str]:
+    if args.edge:
         e = _parse_edge(args.edge)
-        col = delta_coloring_of_minus_e(g, e, seed=args.seed)
-        if args.kind == "multifan":
-            items = []
-            for r, s1 in (e, e[::-1]):
-                fan = grow_multifan(col, r, s1)
-                items.append({"center": fan.center, "leaves": list(fan.leaves)})
-        elif args.kind == "kierstead":
-            items = [
-                {"vertices": list(kp.vertices)}
-                for p in (1, 2, 3, 4)
-                for kp in find_kierstead_paths(col, p)
-            ]
-        else:
-            items = [
-                {"kind": w.kind, "roles": w.roles}
-                for w in find_structure_witnesses(col, args.kind)
-            ]
-        if args.json:
-            print(
-                json.dumps(
-                    {"graph6": to_graph6(g), "kind": args.kind, "found": items},
-                    sort_keys=True,
-                )
-            )
-        else:
-            print(f"{args.kind}: {len(items)} found")
-            for item in items:
-                print(f"  {item}")
-    return 0
+        flag = is_critical_edge(g, e)
+        return (
+            {"edge": list(e), "critical": flag},
+            f"edge {e}: {'critical' if flag else 'not critical'}",
+        )
+    flag = is_delta_critical(g)
+    return {"delta_critical": flag}, f"Delta-critical: {'true' if flag else 'false'}"
+
+
+def cmd_split(args, g: Graph) -> tuple[dict, str]:
+    """The payload's graph6 is the split graph's, not the input's."""
+    part = frozenset(int(x) for x in args.part.split(","))
+    h = split_vertex(g, SplitSpec(args.vertex, part))
+    return {"graph6": to_graph6(h), "n": h.n, "edges": h.edge_count()}, to_graph6(h)
+
+
+def cmd_structures(args, g: Graph) -> tuple[dict, str]:
+    e = _parse_edge(args.edge)
+    col = delta_coloring_of_minus_e(g, e, seed=args.seed)
+    if args.kind == "multifan":
+        items = []
+        for r, s1 in (e, e[::-1]):
+            fan = grow_multifan(col, r, s1)
+            items.append({"center": fan.center, "leaves": list(fan.leaves)})
+    elif args.kind == "kierstead":
+        items = [
+            {"vertices": list(kp.vertices)}
+            for p in (1, 2, 3, 4)
+            for kp in find_kierstead_paths(col, p)
+        ]
+    else:
+        items = [
+            {"kind": w.kind, "roles": w.roles}
+            for w in find_structure_witnesses(col, args.kind)
+        ]
+    lines = [f"{args.kind}: {len(items)} found", *(f"  {item}" for item in items)]
+    return {"kind": args.kind, "found": items}, "\n".join(lines)
 
 
 def cmd_enumerate(args) -> int:
@@ -249,11 +201,11 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--json", action="store_true", help="machine-readable output")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_graph_cmd(name, func, help_text):
+    def add_graph_cmd(name, answer, help_text):
         p = sub.add_parser(name, help=help_text)
         p.add_argument("graph", nargs="?", help="graph6 string or fixture name")
         p.add_argument("--file", help="file with one graph6 per line")
-        p.set_defaults(func=func)
+        p.set_defaults(func=_run_graph_command, answer=answer)
         return p
 
     add_graph_cmd("classify", cmd_classify, "Class 1/2 and exact chromatic index")

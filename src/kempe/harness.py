@@ -586,7 +586,24 @@ def run_suite(config: SuiteConfig) -> SuiteResult:
 
 
 def write_reports(result: SuiteResult, out_dir: Path) -> None:
+    """Write one JSON per check, `suite.json` and `summary.txt`. The check
+    files that a previous run's `suite.json` lists are removed first, and
+    nothing else is; a `suite.json` that is not such a manifest raises
+    `ValueError` before anything is written."""
+    manifest_path = out_dir / "suite.json"
+    stale = []
+    if manifest_path.exists():
+        try:
+            stale = json.loads(manifest_path.read_text())["checks"]
+        except (ValueError, TypeError, KeyError):
+            stale = None
+        if not isinstance(stale, list) or not all(
+            isinstance(c, str) and Path(c).name == c for c in stale
+        ):
+            raise ValueError(f"{manifest_path} is not a suite manifest")
     out_dir.mkdir(parents=True, exist_ok=True)
+    for check in stale:
+        (out_dir / f"{check}.json").unlink(missing_ok=True)
     for rep in result.reports:
         (out_dir / f"{rep.check}.json").write_text(rep.to_json() + "\n")
     manifest = {
