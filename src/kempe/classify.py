@@ -10,6 +10,8 @@ from __future__ import annotations
 import functools
 import random
 from enum import Enum
+from struct import Struct
+from typing import Callable
 
 from .coloring import ColoringError, PartialEdgeColoring
 from .graph import Edge, Graph, edge_key
@@ -34,6 +36,14 @@ class BudgetExceededError(RuntimeError):
 
 
 DEFAULT_NODE_BUDGET = 50_000_000
+
+# A search keeps the residual states it has exhausted only during its
+# first 2^14 nodes, then drops them. A flower snark's refutation meets the
+# same states again and again and ends within a few thousand nodes. A long
+# tight search (a K10 split minus an edge, k = 9) kept 667,510 states
+# without this bound, a peak RSS of 189 MB against 15 MB, for one hit in
+# 13 nodes.
+_FAILED_WINDOW = 1 << 14
 
 
 # ---------------------------------------------------------------------------
@@ -204,6 +214,14 @@ def _degeneracy_rank(n: int, edges: list[Edge]) -> list[int]:
     return rank
 
 
+@functools.lru_cache(maxsize=512)
+def _state_codec(n: int, top: int) -> tuple[bytes, Callable[..., bytes]]:
+    """For `_search`'s state keys: the translation that reads every count
+    byte above top, a coloured edge's, as 255, and a packer of n free
+    colour masks."""
+    return bytes(range(top + 1)) + b"\xff" * (255 - top), Struct(f"{n}Q").pack
+
+
 def _search(
     n: int, edges: list[Edge], k: int, node_budget: int
 ) -> dict[Edge, int] | None:
@@ -229,6 +247,19 @@ def _search(
     A vertex loses one free colour per coloured edge at it, so its free
     colours never fall below its uncoloured edges (k >= Delta): a prune
     on those two counts could never fire, and there is none.
+
+    What a node does depends only on its residual state: lim, which edges
+    are coloured, and the free colours at each vertex. The free colours
+    fix lim as well (the colours placed so far are those missing from some
+    vertex's free set), so a state's key holds only the other two. A state
+    whose subtree failed fails again wherever it recurs, so the search
+    keeps the exhausted ones in `failed` and returns False when it reaches
+    one again. Past _FAILED_WINDOW nodes `failed` is None: nothing more is
+    stored or looked up, and the table's memory is freed. Only nodes with
+    two or more options are looked up and stored; a forced colour leads
+    to the next such node, with the same outcome. The table skips only
+    failed subtrees, so the search finds the same first colouring in the
+    same order, and a None still means an exhausted search.
     """
     rank = _degeneracy_rank(n, edges)
     # color edges among late-surviving (dense) vertices first
@@ -247,11 +278,18 @@ def _search(
     color = [0] * m
     path: list[int] = []
     nodes = 0
+    mark, pack = _state_codec(n, top)
+    failed: set[bytes] | None = set()
+
+    def state(counts: bytes) -> bytes:
+        """The residual state: the counts with the coloured edges marked,
+        and the free colours of every vertex, which also fix lim."""
+        return counts.translate(mark) + pack(*free)
 
     def dfs(used: int, seen: int) -> bool:
         """Extend the coloring; `used` is the highest color placed so far
         and `seen` holds the counts for the coloring as it stands."""
-        nonlocal nodes
+        nonlocal nodes, failed
         nodes += 1
         if nodes > node_budget:
             raise BudgetExceededError(nodes, {edges[i]: color[i] for i in path})
@@ -266,6 +304,8 @@ def _search(
                 break
         else:
             return True
+        if failed and level < lim - 1 and state(counts) in failed:
+            return False
         u, v = edges[i]
         opts = free[u] & free[v] & ((1 << lim) - 1)
         seen += (top + 1 - level) << 8 * i
@@ -290,6 +330,11 @@ def _search(
             free[u] |= bit
             free[v] |= bit
         path.pop()
+        if failed is not None and level < lim - 1:
+            if nodes <= _FAILED_WINDOW:
+                failed.add(state(counts))
+            else:
+                failed = None
         return False
 
     try:

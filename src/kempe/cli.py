@@ -1,6 +1,7 @@
 """Command-line surface: classify, color, criticality, structure search,
 and the verification suite. Graphs are read as graph6 or fixture names
-(in any case), one per line, from arguments, files, or standard input.
+(in any case), one per line, from an argument, a file, or standard input
+(a graph argument and --file together are a usage error).
 
 Every per-graph command runs through one driver, `_run_graph_command`: the
 command answers one graph with a JSON payload and a plain text, and the
@@ -20,6 +21,7 @@ import contextlib
 import json
 import sys
 from pathlib import Path
+from typing import Iterator
 
 from .classify import (
     BudgetExceededError,
@@ -47,19 +49,26 @@ from .harness import SUITES, SuiteConfig, enumerate_graphs, run_suite, write_rep
 from .structures import find_kierstead_paths, find_structure_witnesses, grow_multifan
 
 
-def _graph_sources(args) -> list[str]:
-    """graph6 lines from positional arguments, a file, or stdin."""
-    if getattr(args, "graph", None):
-        return [args.graph]
-    if getattr(args, "file", None):
-        with open(args.file) as fh:
-            return [ln.strip() for ln in fh if ln.strip()]
-    return [ln.strip() for ln in sys.stdin if ln.strip()]
+def _graph_sources(args) -> Iterator[str]:
+    """graph6 lines from the positional argument, a file, or stdin, read
+    one line at a time, so a graph is answered before the next is read."""
+    if args.graph:
+        yield args.graph
+        return
+    with open(args.file) if args.file else contextlib.nullcontext(sys.stdin) as fh:
+        for ln in fh:
+            if ln.strip():
+                yield ln.strip()
 
 
 def _parse_edge(text: str) -> tuple[int, int]:
-    u, v = text.split(",")
-    return int(u), int(v)
+    try:
+        u, v = (int(x) for x in text.split(","))
+    except ValueError:
+        raise ValueError(
+            f"--edge takes 'u,v', two vertex numbers, not {text!r}"
+        ) from None
+    return u, v
 
 
 def _load(line: str) -> Graph:
@@ -203,8 +212,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     def add_graph_cmd(name, answer, help_text):
         p = sub.add_parser(name, help=help_text)
-        p.add_argument("graph", nargs="?", help="graph6 string or fixture name")
-        p.add_argument("--file", help="file with one graph6 per line")
+        source = p.add_mutually_exclusive_group()
+        source.add_argument("graph", nargs="?", help="graph6 string or fixture name")
+        source.add_argument("--file", help="file with one graph6 per line")
         p.set_defaults(func=_run_graph_command, answer=answer)
         return p
 

@@ -7,7 +7,8 @@ the symmetric group acting on vertex pairs. The reference lemma sweep runs
 every structure check on every seed's coloring, apart from the library
 sweep's one pass per color class. The reference solver wrappers rebuild
 each colouring the long way: a validated relabelled `Graph`, one checked
-`color_edge` per edge, `validate()`, and an edge-by-edge copy onto G.
+`color_edge` per edge, `validate()`, and an edge-by-edge copy onto G; the
+search itself is checked against a plain recursion over the edges.
 """
 
 from __future__ import annotations
@@ -127,11 +128,38 @@ def reference_lemma_sweep(corpus, seeds, coloring):
     return reports, instances
 
 
+def bruteforce_edge_colorable(g, k):
+    """Does g have a proper edge colouring with k colours? Plain recursion
+    over g's edges in order, each trying every colour that neither end has
+    yet: no edge ordering, no pruning and no symmetry breaking."""
+    edges = g.edges()
+    used = [0] * g.n  # bit c: colour c is on an edge at the vertex
+
+    def extend(i):
+        if i == len(edges):
+            return True
+        u, v = edges[i]
+        for c in range(k):
+            bit = 1 << c
+            if not (used[u] | used[v]) & bit:
+                used[u] |= bit
+                used[v] |= bit
+                if extend(i + 1):
+                    return True
+                used[u] ^= bit
+                used[v] ^= bit
+        return False
+
+    return extend(0)
+
+
 def reference_find_edge_coloring(g, k, seed=None):
     """`find_edge_coloring` without a node budget, the colouring rebuilt
     the long way around the library's `_search`: a seed relabels g into a
     new validated `Graph`, and each found colour goes in by `color_edge`,
-    in the sorted order of the searched graph's edges."""
+    in the sorted order of the searched graph's edges. It calls the same
+    `_search`, so it checks the relabelling and the building of the
+    result, not the search; `bruteforce_edge_colorable` checks that."""
     if g.edge_count() == 0:
         return PartialEdgeColoring(g, k)
     if g.max_degree() > k or g.edge_count() > k * (g.n // 2):

@@ -3,9 +3,11 @@ from __future__ import annotations
 import ast
 import hashlib
 import random
+import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import kempe
 import kempe.classify as classifier
@@ -24,15 +26,21 @@ from kempe.classify import (
 )
 from kempe.graph import (
     Graph,
+    SplitSpec,
     builtin_fixture,
     complete_graph,
     cycle_graph,
+    split_vertex,
 )
 from kempe.coloring import ColoringError, PartialEdgeColoring
 from kempe.harness import delta_critical_corpus, enumerate_graphs_upto
 from kempe.structures import check_parity
 
-from oracles import reference_delta_coloring_of_minus_e, reference_find_edge_coloring
+from oracles import (
+    bruteforce_edge_colorable,
+    reference_delta_coloring_of_minus_e,
+    reference_find_edge_coloring,
+)
 
 # sha256 of the repr of find_edge_coloring(g, Delta, seed=s) over the
 # enumerated graphs with edges and n <= 6, s in (None, 0, 1): each result as
@@ -362,16 +370,87 @@ def flower_snark(k: int) -> Graph:
     return Graph(4 * k, edges)
 
 
-@pytest.mark.parametrize("k, nodes", [(9, 7_389), (11, 29_789)])
+@pytest.mark.parametrize(
+    "k, nodes", [(9, 1_413), (11, 1_917), (13, 2_421), (15, 2_925)]
+)
 def test_snark_refutation_node_counts(k, nodes):
     """Flower snarks are cubic Class 2 graphs that the edge count does not
-    refute, so the whole search tree is walked: exactly `nodes` nodes."""
+    refute, so only an exhausted search says no: exactly `nodes` nodes.
+    The search skips the residual states it has already exhausted, so the
+    count grows by 504 nodes from one snark to the next (with the table's
+    window set to 0, J9 takes 7,389 nodes and J11 29,789)."""
     g = flower_snark(k)
     assert g.degrees() == (3,) * (4 * k) and g.edge_count() == 3 * (g.n // 2)
     assert find_edge_coloring(g, 3, node_budget=nodes) is None
     with pytest.raises(BudgetExceededError) as exc:
         find_edge_coloring(g, 3, node_budget=nodes - 1)
     assert exc.value.nodes == nodes
+
+
+def test_solver_agrees_with_brute_force(pstar):
+    graphs = [g for g in enumerate_graphs_upto(6) if g.edge_count()]
+    for g in graphs + [builtin_fixture("petersen"), pstar]:
+        k = g.max_degree()
+        assert (find_edge_coloring(g, k) is None) is not bruteforce_edge_colorable(g, k)
+
+
+def counted_solve(g: Graph, k: int, seed: int | None, window: int):
+    """find_edge_coloring(g, k, seed=seed) with the table of exhausted
+    states kept for `window` nodes (0: no table), and its DFS node count."""
+    nodes = 0
+
+    def count(frame, event, arg):
+        nonlocal nodes
+        code = frame.f_code
+        if event == "call" and code.co_name == "dfs":
+            nodes += code.co_filename == classifier.__file__
+
+    saved = classifier._FAILED_WINDOW
+    classifier._FAILED_WINDOW = window
+    sys.setprofile(count)
+    try:
+        col = find_edge_coloring(g, k, seed=seed)
+    finally:
+        sys.setprofile(None)
+        classifier._FAILED_WINDOW = saved
+    return None if col is None else list(col.colored_edges().items()), nodes
+
+
+def assert_table_changes_no_answer(g: Graph, k: int, seed: int | None = None) -> int:
+    """The search with its table finds what the search without it finds,
+    in no more nodes; returns the nodes saved."""
+    found, nodes = counted_solve(g, k, seed, classifier._FAILED_WINDOW)
+    plain, plain_nodes = counted_solve(g, k, seed, 0)
+    assert found == plain and nodes <= plain_nodes
+    return plain_nodes - nodes
+
+
+@given(st.integers(0, 10_000), st.sampled_from([None, 0, 1]))
+@settings(max_examples=80, deadline=None)
+def test_failed_state_table_changes_no_answer_on_random_graphs(graph_seed, seed):
+    rng = random.Random(graph_seed)
+    n = rng.randint(2, 9)
+    p = rng.random()
+    g = Graph(n, [(u, v) for u in range(n) for v in range(u + 1, n) if rng.random() < p])
+    if g.edge_count():
+        assert_table_changes_no_answer(g, g.max_degree(), seed)
+
+
+def test_failed_state_table_changes_no_answer_on_hard_instances():
+    """Snarks, the G - e of the Delta-critical graphs on up to 7 vertices
+    and of the K8 splits: searches that backtrack, and whose colourings a
+    wrong state key would change."""
+    saved = [assert_table_changes_no_answer(flower_snark(k), 3) for k in (5, 7, 9, 11)]
+    assert all(saved)
+    for g in delta_critical_corpus(7):
+        for e in g.edges():
+            for seed in (None, 0):
+                assert_table_changes_no_answer(g.without_edge(e), g.max_degree(), seed)
+    k8 = complete_graph(8)
+    for part in ({1}, {1, 2}, {1, 2, 3}):
+        h = split_vertex(k8, SplitSpec(0, frozenset(part)))
+        for e in h.edges():
+            assert_table_changes_no_answer(h.without_edge(e), 7)
 
 
 def test_seeded_budget_partial_is_in_callers_labels():

@@ -127,6 +127,39 @@ def test_stdin_streaming(capsys, monkeypatch):
     assert "Class 2" in lines[0] and "Class 1" in lines[1]
 
 
+def test_stdin_is_answered_one_graph_at_a_time(capsys, monkeypatch):
+    """The first graph is answered before the second line is read."""
+
+    def lines():
+        yield "k4\n"
+        raise RuntimeError("read past the first graph")
+
+    monkeypatch.setattr("sys.stdin", lines())
+    with pytest.raises(RuntimeError, match="read past"):
+        main(["classify"])
+    assert capsys.readouterr().out == "Class 1 (chi'=3, Delta=3)\n"
+
+
+def test_graph_with_file_is_usage_error(capsys, tmp_path: Path):
+    path = tmp_path / "graphs.txt"
+    path.write_text("c5\n")
+    with pytest.raises(SystemExit) as exc:
+        main(["classify", "k4", "--file", str(path)])
+    captured = capsys.readouterr()
+    assert exc.value.code == 2 and captured.out == ""
+    assert "not allowed with argument graph" in captured.err
+    code, out = run_cli(capsys, "classify", "--file", str(path))
+    assert (code, out) == (0, "Class 2 (chi'=3, Delta=2)\n")
+
+
+@pytest.mark.parametrize("edge", ["0-1", "0", "0,1,2", "a,b"])
+def test_malformed_edge_names_the_option(capsys, edge):
+    code = main(["critical", "--edge", edge, "k4"])
+    captured = capsys.readouterr()
+    assert code == 2 and captured.out == ""
+    assert captured.err == f"error: --edge takes 'u,v', two vertex numbers, not {edge!r}\n"
+
+
 def test_malformed_graph6_is_usage_error(capsys):
     code = main(["classify", "D?{?"])
     assert code == 2
