@@ -58,8 +58,6 @@ def vizing_plus_one_coloring(g: Graph) -> PartialEdgeColoring:
     one endpoint, invert one two-colored path, rotate a fan prefix, and
     color the freed edge. Deterministic: ties broken by smallest index.
     """
-    if g.n < 2:
-        raise ValueError("need at least two vertices")
     k = g.max_degree() + 1
     col = PartialEdgeColoring(g, k)
     for e in g.edges():
@@ -253,13 +251,18 @@ def _search(
     fix lim as well (the colours placed so far are those missing from some
     vertex's free set), so a state's key holds only the other two. A state
     whose subtree failed fails again wherever it recurs, so the search
-    keeps the exhausted ones in `failed` and returns False when it reaches
+    keeps the exhausted ones in `failed` and fails at once when it reaches
     one again. Past _FAILED_WINDOW nodes `failed` is None: nothing more is
     stored or looked up, and the table's memory is freed. Only nodes with
     two or more options are looked up and stored; a forced colour leads
     to the next such node, with the same outcome. The table skips only
     failed subtrees, so the search finds the same first colouring in the
     same order, and a None still means an exhausted search.
+
+    The search is one loop over an explicit stack, `path`, of one frame
+    per coloured edge, so its depth is bounded by memory, not by the
+    interpreter's recursion limit, and its speed does not depend on how
+    deep in the stack it is called.
     """
     rank = _degeneracy_rank(n, edges)
     # color edges among late-surviving (dense) vertices first
@@ -275,74 +278,71 @@ def _search(
     # each edge at x sets one bit of at[x], so that bit count is x's degree
     top = min(k, 2 * max(a.bit_count() for a in at) - 2)
     free = [(1 << k) - 1] * n
-    color = [0] * m
-    path: list[int] = []
-    nodes = 0
     mark, pack = _state_codec(n, top)
     failed: set[bytes] | None = set()
-
-    def state(counts: bytes) -> bytes:
-        """The residual state: the counts with the coloured edges marked,
-        and the free colours of every vertex, which also fix lim."""
-        return counts.translate(mark) + pack(*free)
-
-    def dfs(used: int, seen: int) -> bool:
-        """Extend the coloring; `used` is the highest color placed so far
-        and `seen` holds the counts for the coloring as it stands."""
-        nonlocal nodes, failed
+    # one frame per coloured edge: options left, colour bit tried, the
+    # free_ends entry it replaced, edge i, its ends u and v, near, ends, and
+    # the node's used, seen (with edge i marked) and state key or None
+    path: list[list] = []
+    # `used` is the highest colour placed so far and `seen` holds the
+    # counts for the colouring as it stands
+    used = seen = nodes = 0
+    while True:
         nodes += 1
         if nodes > node_budget:
-            raise BudgetExceededError(nodes, {edges[i]: color[i] for i in path})
+            partial = {edges[f[3]]: f[1].bit_length() for f in path}
+            raise BudgetExceededError(nodes, partial)
         # the unused colors are interchangeable: offer only the first of them
         lim = used + 1 if used < k else k
         counts = seen.to_bytes(m, "little")
-        if lim <= top and lim in counts:
-            return False
-        for level in range(min(lim - 1, top), -1, -1):
-            i = counts.find(level)
-            if i >= 0:
-                break
-        else:
-            return True
-        if failed and level < lim - 1 and state(counts) in failed:
-            return False
-        u, v = edges[i]
-        opts = free[u] & free[v] & ((1 << lim) - 1)
-        seen += (top + 1 - level) << 8 * i
-        path.append(i)
-        near = at[u] | at[v]
-        ends = at[u] + at[v]
-        while opts:
-            bit = opts & -opts
-            opts ^= bit
-            c = bit.bit_length()
-            color[i] = c
-            free[u] ^= bit
-            free[v] ^= bit
-            before = free_ends[c]
-            after = free_ends[c] = before - ends
-            # (after | after >> 1) & ones marks the edges with c free at an
-            # end; next to edge i that end is the far one, so they see c anew
-            fresh = near & (after | after >> 1) & ones
-            if dfs(c if c > used else used, seen + fresh):
-                return True
-            free_ends[c] = before
-            free[u] |= bit
-            free[v] |= bit
-        path.pop()
-        if failed is not None and level < lim - 1:
-            if nodes <= _FAILED_WINDOW:
-                failed.add(state(counts))
+        if lim > top or lim not in counts:
+            for level in range(min(lim - 1, top), -1, -1):
+                i = counts.find(level)
+                if i >= 0:
+                    break
             else:
-                failed = None
-        return False
-
-    try:
-        return {edges[i]: color[i] for i in path} if dfs(0, 0) else None
-    finally:
-        # dfs refers to itself, so without this its state would wait for
-        # the cycle collector
-        del dfs
+                return {edges[f[3]]: f[1].bit_length() for f in path}
+            key = None
+            if failed is not None and level < lim - 1:
+                # the residual state: the counts with the coloured edges
+                # marked, and the free colours of every vertex
+                key = counts.translate(mark) + pack(*free)
+            if key is None or key not in failed:
+                u, v = edges[i]
+                opts = free[u] & free[v] & ((1 << lim) - 1)
+                seen += (top + 1 - level) << 8 * i
+                path.append(
+                    [opts, 0, 0, i, u, v, at[u] | at[v], at[u] + at[v], used, seen, key]
+                )
+        # back to the deepest frame with an option left, and try it
+        while path:
+            f = path[-1]
+            opts, bit, before, i, u, v, near, ends, used, seen, key = f
+            if bit:
+                free_ends[bit.bit_length()] = before
+                free[u] |= bit
+                free[v] |= bit
+            if opts:
+                bit = opts & -opts
+                c = bit.bit_length()
+                free[u] ^= bit
+                free[v] ^= bit
+                before = free_ends[c]
+                after = free_ends[c] = before - ends
+                f[0], f[1], f[2] = opts ^ bit, bit, before
+                # (after | after >> 1) & ones marks the edges with c free at an
+                # end; next to edge i that end is the far one, so they see c anew
+                seen += near & (after | after >> 1) & ones
+                used = c if c > used else used
+                break
+            path.pop()
+            if key is not None and failed is not None:
+                if nodes <= _FAILED_WINDOW:
+                    failed.add(key)
+                else:
+                    failed = None
+        else:
+            return None
 
 
 # ---------------------------------------------------------------------------
@@ -403,8 +403,8 @@ def delta_coloring_of_minus_e(
 ) -> PartialEdgeColoring:
     """A proper Delta(g)-coloring of g with exactly e uncolored.
 
-    Deterministic given the seed. Raises ValueError when no such coloring
-    exists (the edge is not critical, or the graph is not Class 2)."""
+    Deterministic given the seed. Raises ValueError exactly when g - e has
+    no Delta(g)-coloring (for a Class 2 graph: when e is not critical)."""
     e = edge_key(*e)
     delta = g.max_degree()
     base = find_edge_coloring(g.without_edge(e), delta, seed=seed)

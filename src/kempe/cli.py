@@ -61,14 +61,23 @@ def _graph_sources(args) -> Iterator[str]:
                 yield ln.strip()
 
 
-def _parse_edge(text: str) -> tuple[int, int]:
+def _parse_vertices(
+    text: str, option: str, form: str, count: int = 0
+) -> tuple[int, ...]:
+    """The vertex numbers of a comma-separated option value, exactly
+    `count` of them when count is not 0; a ValueError naming the option
+    and its form otherwise."""
     try:
-        u, v = (int(x) for x in text.split(","))
+        vs = tuple(int(x) for x in text.split(","))
     except ValueError:
-        raise ValueError(
-            f"--edge takes 'u,v', two vertex numbers, not {text!r}"
-        ) from None
-    return u, v
+        vs = ()
+    if not vs or count not in (0, len(vs)):
+        raise ValueError(f"{option} takes {form}, not {text!r}")
+    return vs
+
+
+def _parse_edge(text: str) -> tuple[int, ...]:
+    return _parse_vertices(text, "--edge", "'u,v', two vertex numbers", 2)
 
 
 def _load(line: str) -> Graph:
@@ -146,7 +155,8 @@ def cmd_critical(args, g: Graph) -> tuple[dict, str]:
 
 def cmd_split(args, g: Graph) -> tuple[dict, str]:
     """The payload's graph6 is the split graph's, not the input's."""
-    part = frozenset(int(x) for x in args.part.split(","))
+    form = "'u,v,...', comma-separated vertex numbers"
+    part = frozenset(_parse_vertices(args.part, "--part", form))
     h = split_vertex(g, SplitSpec(args.vertex, part))
     return {"graph6": to_graph6(h), "n": h.n, "edges": h.edge_count()}, to_graph6(h)
 

@@ -92,8 +92,6 @@ class Graph:
         return sum(len(s) for s in self._adj) // 2
 
     def max_degree(self) -> int:
-        if self.n == 0:
-            raise ValueError("empty graph has no maximum degree")
         return max((len(s) for s in self._adj), default=0)
 
     def without_edge(self, e: tuple[int, int]) -> "Graph":

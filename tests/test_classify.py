@@ -67,6 +67,9 @@ def test_vizing_coloring_validates(pstar, k4):
     assert col.k == 4 and col.is_full() and col.validate()
     col = vizing_plus_one_coloring(k4)
     assert col.k == 4 and col.is_full() and col.validate()
+    for n in (0, 1, 3):
+        col = vizing_plus_one_coloring(Graph(n))
+        assert col.k == 1 and col.is_full() and col.validate()
 
 
 def test_vizing_star_uses_hub_degree_colors():
@@ -394,35 +397,50 @@ def test_solver_agrees_with_brute_force(pstar):
         assert (find_edge_coloring(g, k) is None) is not bruteforce_edge_colorable(g, k)
 
 
-def counted_solve(g: Graph, k: int, seed: int | None, window: int):
-    """find_edge_coloring(g, k, seed=seed) with the table of exhausted
-    states kept for `window` nodes (0: no table), and its DFS node count."""
-    nodes = 0
-
-    def count(frame, event, arg):
-        nonlocal nodes
-        code = frame.f_code
-        if event == "call" and code.co_name == "dfs":
-            nodes += code.co_filename == classifier.__file__
-
+def windowed_solve(g: Graph, k: int, seed: int | None, window: int, node_budget: int):
+    """find_edge_coloring(g, k, seed=seed, node_budget=node_budget) with the
+    table of exhausted states kept for `window` nodes (0: no table), as its
+    colour items, or None."""
     saved = classifier._FAILED_WINDOW
     classifier._FAILED_WINDOW = window
-    sys.setprofile(count)
     try:
-        col = find_edge_coloring(g, k, seed=seed)
+        col = find_edge_coloring(g, k, seed=seed, node_budget=node_budget)
     finally:
-        sys.setprofile(None)
         classifier._FAILED_WINDOW = saved
-    return None if col is None else list(col.colored_edges().items()), nodes
+    return None if col is None else list(col.colored_edges().items())
 
 
-def assert_table_changes_no_answer(g: Graph, k: int, seed: int | None = None) -> int:
+def counted_solve(g: Graph, k: int, seed: int | None, window: int):
+    """windowed_solve's answer and the search's node count: the least
+    node_budget under which it does not raise BudgetExceededError, found by
+    doubling and then bisecting."""
+    low, high = 0, 1  # a budget of `low` is exceeded
+    while True:
+        try:
+            found = windowed_solve(g, k, seed, window, high)
+            break
+        except BudgetExceededError:
+            low, high = high, 2 * high
+    while high - low > 1:
+        mid = (low + high) // 2
+        try:
+            found, high = windowed_solve(g, k, seed, window, mid), mid
+        except BudgetExceededError:
+            low = mid
+    return found, high
+
+
+def assert_table_changes_no_answer(g: Graph, k: int, seed: int | None = None) -> bool:
     """The search with its table finds what the search without it finds,
-    in no more nodes; returns the nodes saved."""
-    found, nodes = counted_solve(g, k, seed, classifier._FAILED_WINDOW)
+    in no more nodes; returns whether it takes fewer."""
     plain, plain_nodes = counted_solve(g, k, seed, 0)
-    assert found == plain and nodes <= plain_nodes
-    return plain_nodes - nodes
+    window = classifier._FAILED_WINDOW
+    assert windowed_solve(g, k, seed, window, plain_nodes) == plain
+    try:
+        windowed_solve(g, k, seed, window, plain_nodes - 1)
+    except BudgetExceededError:
+        return False
+    return True
 
 
 @given(st.integers(0, 10_000), st.sampled_from([None, 0, 1]))
@@ -451,6 +469,35 @@ def test_failed_state_table_changes_no_answer_on_hard_instances():
         h = split_vertex(k8, SplitSpec(0, frozenset(part)))
         for e in h.edges():
             assert_table_changes_no_answer(h.without_edge(e), 7)
+
+
+def stack_depth() -> int:
+    frame, depth = sys._getframe(1), 0
+    while frame is not None:
+        frame, depth = frame.f_back, depth + 1
+    return depth
+
+
+def at_depth(depth: int, call):
+    """call() from `depth` Python frames further down the stack."""
+    return call() if depth <= 0 else at_depth(depth - 1, call)
+
+
+def test_search_deeper_than_the_recursion_limit():
+    """A search is not bounded by the interpreter's recursion limit: C2000
+    puts 2,000 edges on the path, and the same call made 50 frames below
+    the limit still completes."""
+    g = cycle_graph(2000)
+    assert g.edge_count() > sys.getrecursionlimit()
+
+    def solve():
+        col = find_edge_coloring(g, 2)
+        assert col is not None and col.is_full() and col.validate()
+        return stack_depth()
+
+    solve()
+    limit = sys.getrecursionlimit()
+    assert limit - 50 <= at_depth(limit - 50 - stack_depth(), solve) < limit
 
 
 def test_seeded_budget_partial_is_in_callers_labels():

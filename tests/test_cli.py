@@ -160,6 +160,36 @@ def test_malformed_edge_names_the_option(capsys, edge):
     assert captured.err == f"error: --edge takes 'u,v', two vertex numbers, not {edge!r}\n"
 
 
+@pytest.mark.parametrize("part", ["1,x", "", "1;2", "a"])
+def test_malformed_part_names_the_option(capsys, part):
+    code = main(["split", "--vertex", "0", "--part", part, "k4"])
+    captured = capsys.readouterr()
+    assert code == 2 and captured.out == ""
+    assert captured.err == (
+        f"error: --part takes 'u,v,...', comma-separated vertex numbers, not {part!r}\n"
+    )
+
+
+@pytest.mark.parametrize(
+    "argv, out",
+    [
+        (["classify"], "Class 1 (chi'=0, Delta=0)"),
+        (["overfull"], "overfull: false (|E|=0 <= 0)"),
+        (["pairs"], "full-deficiency pairs: none"),
+        (["critical"], "Delta-critical: false"),
+        (["color"], "k=1 uncolored=0"),
+        (["color", "--exact"], "k=0 uncolored=0"),
+    ],
+)
+def test_edgeless_enumerated_graphs_are_answered(capsys, monkeypatch, argv, out):
+    """The graphs on 0 and 1 vertices, which `enumerate` prints, are
+    answered like any other graph."""
+    assert run_cli(capsys, "enumerate", "--n", "0") == (0, "?\n")
+    assert run_cli(capsys, "enumerate", "--n", "1") == (0, "@\n")
+    monkeypatch.setattr("sys.stdin", io.StringIO("?\n@\n"))
+    assert run_cli(capsys, *argv) == (0, f"{out}\n{out}\n")
+
+
 def test_malformed_graph6_is_usage_error(capsys):
     code = main(["classify", "D?{?"])
     assert code == 2

@@ -47,6 +47,7 @@ def test_max_degree_fixtures(triangle, pstar, splitk4):
     assert triangle.max_degree() == 2
     assert pstar.max_degree() == 3
     assert splitk4.max_degree() == 3
+    assert Graph(0).max_degree() == Graph(1).max_degree() == 0
 
 
 def test_overfull_fixtures(triangle, pstar, splitk4):
