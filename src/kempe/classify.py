@@ -282,8 +282,8 @@ def _search(
     failed: set[bytes] | None = set()
     # one frame per coloured edge: options left, colour bit tried, the
     # free_ends entry it replaced, edge i, its ends u and v, near, ends, and
-    # the node's used, seen (with edge i marked) and state key or None
-    path: list[list] = []
+    # the node's used, seen (with edge i marked), and counts if it is stored
+    path: list[tuple] = []
     # `used` is the highest colour placed so far and `seen` holds the
     # counts for the colouring as it stands
     used = seen = nodes = 0
@@ -295,6 +295,7 @@ def _search(
         # the unused colors are interchangeable: offer only the first of them
         lim = used + 1 if used < k else k
         counts = seen.to_bytes(m, "little")
+        opts = stored = 0
         if lim > top or lim not in counts:
             for level in range(min(lim - 1, top), -1, -1):
                 i = counts.find(level)
@@ -302,47 +303,42 @@ def _search(
                     break
             else:
                 return {edges[f[3]]: f[1].bit_length() for f in path}
-            key = None
-            if failed is not None and level < lim - 1:
-                # the residual state: the counts with the coloured edges
-                # marked, and the free colours of every vertex
-                key = counts.translate(mark) + pack(*free)
-            if key is None or key not in failed:
+            # a node with two or more options is stored when it fails, keyed
+            # by its residual state: the counts with the coloured edges
+            # marked, and the free colours of every vertex
+            stored = counts if level < lim - 1 else 0
+            if failed and stored and stored.translate(mark) + pack(*free) in failed:
+                stored = 0
+            else:
                 u, v = edges[i]
                 opts = free[u] & free[v] & ((1 << lim) - 1)
                 seen += (top + 1 - level) << 8 * i
-                path.append(
-                    [opts, 0, 0, i, u, v, at[u] | at[v], at[u] + at[v], used, seen, key]
-                )
-        # back to the deepest frame with an option left, and try it
-        while path:
-            f = path[-1]
-            opts, bit, before, i, u, v, near, ends, used, seen, key = f
-            if bit:
-                free_ends[bit.bit_length()] = before
-                free[u] |= bit
-                free[v] |= bit
-            if opts:
-                bit = opts & -opts
-                c = bit.bit_length()
-                free[u] ^= bit
-                free[v] ^= bit
-                before = free_ends[c]
-                after = free_ends[c] = before - ends
-                f[0], f[1], f[2] = opts ^ bit, bit, before
-                # (after | after >> 1) & ones marks the edges with c free at an
-                # end; next to edge i that end is the far one, so they see c anew
-                seen += near & (after | after >> 1) & ones
-                used = c if c > used else used
-                break
-            path.pop()
-            if key is not None and failed is not None:
+                near, ends = at[u] | at[v], at[u] + at[v]
+        # when the node has no colour left, go back to the deepest frame
+        # that has one
+        while not opts:
+            if stored and failed is not None:
                 if nodes <= _FAILED_WINDOW:
-                    failed.add(key)
+                    failed.add(stored.translate(mark) + pack(*free))
                 else:
                     failed = None
-        else:
-            return None
+            if not path:
+                return None
+            opts, bit, before, i, u, v, near, ends, used, seen, stored = path.pop()
+            free_ends[bit.bit_length()] = before
+            free[u] |= bit
+            free[v] |= bit
+        bit = opts & -opts
+        c = bit.bit_length()
+        free[u] ^= bit
+        free[v] ^= bit
+        before = free_ends[c]
+        after = free_ends[c] = before - ends
+        path.append((opts ^ bit, bit, before, i, u, v, near, ends, used, seen, stored))
+        # (after | after >> 1) & ones marks the edges with c free at an end;
+        # next to edge i that end is the far one, so they see c anew
+        seen += near & (after | after >> 1) & ones
+        used = c if c > used else used
 
 
 # ---------------------------------------------------------------------------
