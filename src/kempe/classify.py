@@ -10,6 +10,7 @@ from __future__ import annotations
 import functools
 import random
 from enum import Enum
+from heapq import heapify, heappop, heappush
 from struct import Struct
 from typing import Callable
 
@@ -193,22 +194,27 @@ def _seeded_relabelling(n: int, seed: int) -> tuple[tuple[int, ...], tuple[int, 
 
 def _degeneracy_rank(n: int, edges: list[Edge]) -> list[int]:
     """Rank the vertices 0..n-1 of a graph with these edges by iterated
-    minimum-degree removal; high rank = removed late."""
+    minimum-degree removal, ties going to the smallest vertex; high rank =
+    removed late. The candidates are a heap of deg * n + v, so its least
+    entry has the least degree, then the least vertex; an entry whose
+    vertex is ranked or whose degree has since dropped is skipped."""
     nbrs: list[list[int]] = [[] for _ in range(n)]
     for u, v in edges:
         nbrs[u].append(v)
         nbrs[v].append(u)
     deg = [len(s) for s in nbrs]
-    alive = list(range(n))
-    rank = [0] * n
+    heap = [d * n + v for v, d in enumerate(deg)]
+    heapify(heap)
+    rank = [-1] * n
     for r in range(n):
-        # the first of the least degree: ties go to the smallest vertex
-        v = min(alive, key=deg.__getitem__)
-        alive.remove(v)
+        d, v = divmod(heappop(heap), n)
+        while rank[v] >= 0 or d != deg[v]:
+            d, v = divmod(heappop(heap), n)
         rank[v] = r
         for w in nbrs[v]:
-            if w in alive:
+            if rank[w] < 0:
                 deg[w] -= 1
+                heappush(heap, deg[w] * n + w)
     return rank
 
 

@@ -5,9 +5,12 @@ tuple over the leaves of an individualise-refine search (McKay & Piperno,
 *Practical graph isomorphism II*, 2014), with the search pruned by the
 automorphisms its leaves reveal. Two graphs are isomorphic exactly when
 their certificates are equal. Enumeration up to isomorphism needs less: it
-joins a new vertex of maximum degree to each graph one vertex smaller, and
-a child whose first leaf form is among the leaf forms of the graphs kept
-so far is a duplicate, found by one refinement path. `automorphisms`
+joins a new vertex of maximum degree to each graph one vertex smaller, in
+one way per orbit of the parent's automorphisms on neighbor subsets, and
+refines each child once. A child with a discrete refinement has one leaf
+form, read off it; any other child is searched only when another child
+shares its invariant bucket, and then it is a duplicate when its first
+leaf form is among the leaf forms of the graphs kept so far. `automorphisms`
 returns the generators the search records, so a loop over a graph's
 vertices or edges can do its work once per orbit (`orbit_representatives`;
 edges through `edge_actions`), and `automorphism_group` lists the group.
@@ -77,11 +80,23 @@ def orbit_representatives(size: int, generators: list[Perm]) -> list[int]:
     return reps
 
 
-def _leaves(masks: Masks, found: list[Perm]) -> Iterator[Masks]:
+def _form(masks: Masks, leaf: list[int]) -> Masks:
+    """The mask tuple got by relabelling each vertex v to leaf[v], for a
+    discrete coloring `leaf`."""
+    form = [0] * len(masks)
+    for v, mask in enumerate(masks):
+        form[leaf[v]] = sum([1 << leaf[u] for u in bit_positions(mask)])
+    return tuple(form)
+
+
+def _leaves(
+    masks: Masks, found: list[Perm], root: list[int] | None = None
+) -> Iterator[Masks]:
     """The forms of the leaves of an individualise-refine search, lazily, in
     search order: each leaf is a discrete coloring `leaf` that refining and
     individualising each vertex of the first non-singleton cell reach, and
-    its form is the mask tuple got by relabelling each vertex v to leaf[v].
+    its form is `_form(masks, leaf)`. `root`, when given, is the root's
+    refinement `refinement_colors(masks)`, which the search then reuses.
     A leaf with the best form so far gives an automorphism to the best leaf,
     appended to `found`; a vertex in the orbit of an explored sibling under
     the automorphisms fixing the individualised prefix is not explored. A
@@ -98,14 +113,11 @@ def _leaves(masks: Masks, found: list[Perm]) -> Iterator[Masks]:
     best: Masks | None = None
     best_leaf: list[int] = []
 
-    def search(colors: list[int] | None, prefix: list[int]) -> Iterator[Masks]:
+    def search(colors: list[int], prefix: list[int]) -> Iterator[Masks]:
+        # `colors` is stable: the refinement of its node's coloring
         nonlocal best, best_leaf
-        colors = refinement_colors(masks, colors)
         if len(set(colors)) == n:
-            form = [0] * n
-            for v in range(n):
-                form[colors[v]] = sum([1 << colors[u] for u in bit_positions(masks[v])])
-            form = tuple(form)
+            form = _form(masks, colors)
             if best is None or form < best:
                 best, best_leaf = form, colors
             elif form == best:
@@ -122,11 +134,10 @@ def _leaves(masks: Masks, found: list[Perm]) -> Iterator[Masks]:
             if v in _orbit(explored, fixing):
                 continue
             explored.append(v)
-            yield from search(
-                [2 * c + (u == v) for u, c in enumerate(colors)], prefix + [v]
-            )
+            child = [2 * c + (u == v) for u, c in enumerate(colors)]
+            yield from search(refinement_colors(masks, child), prefix + [v])
 
-    return search(None, [])
+    return search(refinement_colors(masks) if root is None else root, [])
 
 
 def certificate(masks: Masks) -> Masks:
@@ -181,6 +192,34 @@ def masks_isomorphic(m1: Masks, m2: Masks) -> bool:
     return certificate(m1) == certificate(m2)
 
 
+def _subset_action(gamma: Perm) -> Perm:
+    """The permutation `gamma` acting on the subsets of its points, as bit
+    masks: position s goes to the mask of the images of s's members."""
+    image = [0] * (1 << len(gamma))
+    for s in range(1, len(image)):
+        low = s & -s
+        image[s] = image[s ^ low] | 1 << gamma[low.bit_length() - 1]
+    return tuple(image)
+
+
+def _bucket_key(masks: Masks, colors: list[int]) -> int:
+    """A hash of an isomorphism invariant read off the stable refinement
+    `colors` of `masks`: for each color, the size of its cell and the
+    multiset of colors around one member, the same around every member
+    since the coloring is stable. The colors are numbered from the degrees
+    alone, so isomorphic graphs share the key."""
+    width = len(masks).bit_length()
+    sizes = [0] * (max(colors) + 1)
+    member = [0] * len(sizes)
+    for v, c in enumerate(colors):
+        sizes[c] += 1
+        member[c] = v
+    return hash(tuple(
+        (size, sum([1 << colors[u] * width for u in bit_positions(masks[v])]))
+        for size, v in zip(sizes, member)
+    ))
+
+
 _ENUM_CACHE: dict[int, tuple[Masks, ...]] = {}
 
 
@@ -188,16 +227,29 @@ def enumerate_mask_graphs(n: int) -> tuple[Masks, ...]:
     """All simple graphs on n vertices up to isomorphism, as adjacency-mask
     tuples: each graph on n - 1 vertices gains a new vertex of maximum
     degree in every way, and a child isomorphic to one kept before it is
-    dropped. Every graph is G' + v with v of maximum degree and G' listed up
+    dropped, so the first child of each class is kept, in parent-then-subset
+    order. Every graph is G' + v with v of maximum degree and G' listed up
     to isomorphism, so no class is missed (the vertex-invariant half of
     McKay's canonical deletion, *Isomorph-free exhaustive generation*,
     1998). With D the parent's maximum degree and F its vertices of degree
     D, neighbor set S gives the new vertex maximum degree exactly when
-    |S| > D, or |S| == D and S misses F. Every labelling of a graph has the
-    same leaf forms (`_leaves`) and non-isomorphic graphs share none, so a
-    child is new exactly when its first leaf form is not among those of the
-    kept children. The result is an immutable tuple, so callers cannot
-    alter the cache."""
+    |S| > D, or |S| == D and S misses F.
+
+    A duplicate is found at three costs. An automorphism of the parent that
+    maps a smaller subset to S makes the child of S isomorphic to one
+    decided before it, so each parent's automorphisms are searched once and
+    only the least subset of each orbit is tried (the degree test holds on
+    a whole orbit or on none of it). Each child tried is refined once. If
+    that refinement is discrete, it is the child's one leaf, and its form is
+    looked up among the leaf forms of the kept children. Otherwise
+    `_bucket_key` puts the child in a bucket: the first child of a bucket
+    is kept unsearched, as pending; a later one first adds the leaf forms
+    (`_leaves`) of the pending child, if any, to those of the kept
+    children, then is new exactly when its first leaf form is not among
+    them, and if kept adds all of its own. Every labelling of a graph has the same leaf forms
+    and non-isomorphic graphs share none, and isomorphic graphs share a
+    key, so the key changes the work, never the result. The result is an
+    immutable tuple, so callers cannot alter the cache."""
     if n < 0:
         raise ValueError("n must be non-negative")
     if n in _ENUM_CACHE:
@@ -207,21 +259,40 @@ def enumerate_mask_graphs(n: int) -> tuple[Masks, ...]:
     if n == 1:
         return ((0,),)
     out: list[Masks] = []
-    seen: set[Masks] = set()
+    seen: set[Masks] = set()  # leaf forms of the kept children, less pending
+    pending: dict[int, Masks | None] = {}  # bucket key -> unsearched child
     new = n - 1
     for parent in enumerate_mask_graphs(n - 1):
         deg = [m.bit_count() for m in parent]
         top = max(deg, default=0)
         full = sum([1 << v for v in range(new) if deg[v] == top])
+        actions = [_subset_action(gamma) for gamma in automorphisms(parent)]
+        tried: set[int] = set()  # the orbits of the subsets tried so far
         for subset in range(1 << new):
             size = subset.bit_count()
-            if size < top or size == top and subset & full:
+            if size < top or size == top and subset & full or subset in tried:
                 continue
+            tried |= _orbit([subset], actions)
             child = tuple(
                 parent[v] | (1 << new if subset >> v & 1 else 0)
                 for v in range(new)
             ) + (subset,)
-            leaves = _leaves(child, [])
+            root = refinement_colors(child)
+            if len(set(root)) == n:
+                form = _form(child, root)
+                if form not in seen:
+                    out.append(child)
+                    seen.add(form)
+                continue
+            key = _bucket_key(child, root)
+            if key not in pending:
+                out.append(child)
+                pending[key] = child
+                continue
+            if pending[key] is not None:
+                seen.update(_leaves(pending[key], []))
+                pending[key] = None
+            leaves = _leaves(child, [], root)
             first = next(leaves)
             if first not in seen:
                 out.append(child)

@@ -8,7 +8,8 @@ every structure check on every seed's coloring, apart from the library
 sweep's one pass per color class. The reference solver wrappers rebuild
 each colouring the long way: a validated relabelled `Graph`, one checked
 `color_edge` per edge, `validate()`, and an edge-by-edge copy onto G; the
-search itself is checked against a plain recursion over the edges.
+search itself is checked against a plain recursion over the edges, and
+its vertex ranking against the plain scan it replaced.
 """
 
 from __future__ import annotations
@@ -199,3 +200,24 @@ def reference_delta_coloring_of_minus_e(g, e, seed=0):
     if col.uncolored_edges() != [e]:
         raise AssertionError("reference colouring is not full off e")
     return col
+
+
+def reference_degeneracy_rank(n, edges):
+    """The solver's vertex ranking by iterated minimum-degree removal, as a
+    plain scan: each step removes the first vertex of least degree from the
+    list of the remaining ones."""
+    nbrs = [[] for _ in range(n)]
+    for u, v in edges:
+        nbrs[u].append(v)
+        nbrs[v].append(u)
+    deg = [len(s) for s in nbrs]
+    alive = list(range(n))
+    rank = [0] * n
+    for r in range(n):
+        v = min(alive, key=deg.__getitem__)
+        alive.remove(v)
+        rank[v] = r
+        for w in nbrs[v]:
+            if w in alive:
+                deg[w] -= 1
+    return rank

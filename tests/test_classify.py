@@ -38,6 +38,7 @@ from kempe.structures import check_parity
 
 from oracles import (
     bruteforce_edge_colorable,
+    reference_degeneracy_rank,
     reference_delta_coloring_of_minus_e,
     reference_find_edge_coloring,
 )
@@ -259,6 +260,21 @@ def test_solver_output_is_pinned():
             results.append(None if col is None else sorted(col.colored_edges().items()))
     assert len(results) == 606
     assert hashlib.sha256(repr(results).encode()).hexdigest() == SOLVER_DIGEST
+
+
+def test_degeneracy_rank_matches_the_scan():
+    """The heap ranking equals the plain scan's, ties included, on every
+    graph with n <= 8 and on random graphs up to 60 vertices."""
+    graphs = [(g.n, list(g.edges())) for g in enumerate_graphs_upto(8)]
+    rng = random.Random(7)
+    for _ in range(300):
+        n = rng.randrange(1, 61)
+        p = rng.random()
+        pairs = [(u, v) for u in range(n) for v in range(u + 1, n) if rng.random() < p]
+        rng.shuffle(pairs)
+        graphs.append((n, pairs))
+    for n, edges in graphs:
+        assert classifier._degeneracy_rank(n, edges) == reference_degeneracy_rank(n, edges)
 
 
 def same_coloring(col, ref):

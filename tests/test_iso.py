@@ -354,8 +354,10 @@ def test_enumeration_has_the_classes_of_every_subset():
 
 
 def test_enumeration_makes_no_certificate_call(monkeypatch):
-    """Duplicates are found by a child's first leaf form, not by a full
-    canonical form; the work is pinned by the refinement count."""
+    """Duplicates are found by leaf forms, not by full canonical forms; the
+    work is pinned by the refinement count: one root refinement per child
+    left after parent-orbit pruning, plus the searches of the parents and
+    of the buckets that are hit."""
     expected = set(certificates(every_subset_enumeration(7)))
     calls = []
     refine = iso.refinement_colors
@@ -371,18 +373,34 @@ def test_enumeration_makes_no_certificate_call(monkeypatch):
     monkeypatch.setattr(iso, "refinement_colors", counted)
     monkeypatch.setattr(iso, "_ENUM_CACHE", {})
     graphs = enumerate_mask_graphs(7)
-    assert len(calls) == 12671
+    assert len(calls) == 5318
     assert set(certificates(graphs)) == expected
 
 
-def test_enumeration_searches_no_automorphisms(monkeypatch):
-    """The degree test alone prunes the children: no parent's
-    automorphism group is searched."""
+def test_enumeration_searches_each_parent_once(monkeypatch):
+    """Each parent's automorphisms are searched once, for the orbits of its
+    neighbor subsets: 208 parents on 1..6 vertices for a cold n = 7."""
+    parents = []
+    search = iso.automorphisms
 
-    def no_search(*args):
-        raise AssertionError("enumeration searched for automorphisms")
+    def counted(masks):
+        parents.append(masks)
+        return search(masks)
 
-    monkeypatch.setattr(iso, "automorphisms", no_search)
-    monkeypatch.setattr(iso, "orbit_representatives", no_search)
+    monkeypatch.setattr(iso, "automorphisms", counted)
     monkeypatch.setattr(iso, "_ENUM_CACHE", {})
     assert len(enumerate_mask_graphs(7)) == 1044
+    assert len(parents) == len(set(parents)) == 208
+    assert set(parents) == {
+        masks for n in range(1, 7) for masks in enumerate_mask_graphs(n)
+    }
+
+
+def test_enumeration_does_not_depend_on_the_bucket_key(monkeypatch):
+    """The bucket key only decides which children are searched: with every
+    non-discrete child in one bucket, the representatives and their order
+    are those of the real key."""
+    expected = [enumerate_mask_graphs(n) for n in range(8)]
+    monkeypatch.setattr(iso, "_ENUM_CACHE", {})
+    monkeypatch.setattr(iso, "_bucket_key", lambda masks, colors: 0)
+    assert [enumerate_mask_graphs(n) for n in range(8)] == expected
