@@ -8,9 +8,10 @@ their certificates are equal. Enumeration up to isomorphism needs less: it
 joins a new vertex of maximum degree to each graph one vertex smaller, in
 one way per orbit of the parent's automorphisms on neighbor subsets, and
 refines each child once. A child with a discrete refinement has one leaf
-form, read off it; any other child is searched only when another child
-shares its invariant bucket, and then it is a duplicate when its first
-leaf form is among the leaf forms of the graphs kept so far. `automorphisms`
+form, read off it. Any other child is searched only when another child
+shares its invariant bucket: a later child of the bucket is a duplicate
+when its first leaf form is among the leaf forms of the graphs kept so
+far, the bucket's first child searched only as far as needed. `automorphisms`
 returns the generators the search records, so a loop over a graph's
 vertices or edges can do its work once per orbit (`orbit_representatives`;
 edges through `edge_actions`), and `automorphism_group` lists the group.
@@ -45,7 +46,8 @@ def refinement_colors(masks: Masks, colors: list[int] | None = None) -> list[int
     while True:
         weight = [1 << c * width for c in colors]
         own = (max(colors, default=0) + 1) * width
-        sigs = [colors[v] << own | sum([weight[u] for u in adj[v]]) for v in range(n)]
+        color_sum = weight.__getitem__
+        sigs = [c << own | sum(map(color_sum, a)) for c, a in zip(colors, adj)]
         relabel = {s: i for i, s in enumerate(sorted(set(sigs)))}
         colors = [relabel[s] for s in sigs]
         # a discrete coloring is stable: no confirming round is needed
@@ -83,9 +85,10 @@ def orbit_representatives(size: int, generators: list[Perm]) -> list[int]:
 def _form(masks: Masks, leaf: list[int]) -> Masks:
     """The mask tuple got by relabelling each vertex v to leaf[v], for a
     discrete coloring `leaf`."""
+    bit = [1 << c for c in leaf].__getitem__
     form = [0] * len(masks)
-    for v, mask in enumerate(masks):
-        form[leaf[v]] = sum([1 << leaf[u] for u in bit_positions(mask)])
+    for c, mask in zip(leaf, masks):
+        form[c] = sum(map(bit, bit_positions(mask)))
     return tuple(form)
 
 
@@ -195,28 +198,24 @@ def masks_isomorphic(m1: Masks, m2: Masks) -> bool:
 def _subset_action(gamma: Perm) -> Perm:
     """The permutation `gamma` acting on the subsets of its points, as bit
     masks: position s goes to the mask of the images of s's members."""
-    image = [0] * (1 << len(gamma))
-    for s in range(1, len(image)):
-        low = s & -s
-        image[s] = image[s ^ low] | 1 << gamma[low.bit_length() - 1]
+    image = [0]
+    for g in gamma:  # the subsets holding point v are those past 2^v
+        image += [s | 1 << g for s in image]
     return tuple(image)
 
 
 def _bucket_key(masks: Masks, colors: list[int]) -> int:
     """A hash of an isomorphism invariant read off the stable refinement
-    `colors` of `masks`: for each color, the size of its cell and the
-    multiset of colors around one member, the same around every member
-    since the coloring is stable. The colors are numbered from the degrees
-    alone, so isomorphic graphs share the key."""
+    `colors` of `masks`: the cell sizes, then for each color the multiset
+    of colors around one member, the same around every member since the
+    coloring is stable. The colors are numbered from the degrees alone, so
+    isomorphic graphs share the key."""
     width = len(masks).bit_length()
-    sizes = [0] * (max(colors) + 1)
-    member = [0] * len(sizes)
-    for v, c in enumerate(colors):
-        sizes[c] += 1
-        member[c] = v
-    return hash(tuple(
-        (size, sum([1 << colors[u] * width for u in bit_positions(masks[v])]))
-        for size, v in zip(sizes, member)
+    color_sum = [1 << c * width for c in colors].__getitem__
+    member = dict(zip(colors, masks))
+    return hash((
+        *sorted(colors),
+        *[sum(map(color_sum, bit_positions(member[c]))) for c in range(len(member))],
     ))
 
 
@@ -241,15 +240,17 @@ def enumerate_mask_graphs(n: int) -> tuple[Masks, ...]:
     only the least subset of each orbit is tried (the degree test holds on
     a whole orbit or on none of it). Each child tried is refined once. If
     that refinement is discrete, it is the child's one leaf, and its form is
-    looked up among the leaf forms of the kept children. Otherwise
-    `_bucket_key` puts the child in a bucket: the first child of a bucket
-    is kept unsearched, as pending; a later one first adds the leaf forms
-    (`_leaves`) of the pending child, if any, to those of the kept
-    children, then is new exactly when its first leaf form is not among
-    them, and if kept adds all of its own. Every labelling of a graph has the same leaf forms
-    and non-isomorphic graphs share none, and isomorphic graphs share a
-    key, so the key changes the work, never the result. The result is an
-    immutable tuple, so callers cannot alter the cache."""
+    looked up among `seen`, the leaf forms of the kept children found so
+    far. Otherwise `_bucket_key` puts the child in a bucket. The first child
+    of a bucket is kept unsearched, as pending. A later one is a duplicate
+    when its first leaf form is in `seen`, or is a leaf form (`_leaves`) of
+    the bucket's pending child, whose search adds its forms to `seen` and
+    stops at that form; a pending child whose search ends is no longer
+    pending. A child kept then adds all its leaf forms. Every labelling of
+    a graph has the same leaf forms, non-isomorphic graphs share none, and
+    isomorphic graphs share a key, so the key changes the work, never the
+    result. The result is an immutable tuple, so callers cannot alter the
+    cache."""
     if n < 0:
         raise ValueError("n must be non-negative")
     if n in _ENUM_CACHE:
@@ -259,8 +260,9 @@ def enumerate_mask_graphs(n: int) -> tuple[Masks, ...]:
     if n == 1:
         return ((0,),)
     out: list[Masks] = []
-    seen: set[Masks] = set()  # leaf forms of the kept children, less pending
-    pending: dict[int, Masks | None] = {}  # bucket key -> unsearched child
+    seen: set[Masks] = set()
+    # bucket key -> its first child while that child's search is unfinished
+    pending: dict[int, Masks | None] = {}
     new = n - 1
     for parent in enumerate_mask_graphs(n - 1):
         deg = [m.bit_count() for m in parent]
@@ -273,10 +275,10 @@ def enumerate_mask_graphs(n: int) -> tuple[Masks, ...]:
             if size < top or size == top and subset & full or subset in tried:
                 continue
             tried |= _orbit([subset], actions)
-            child = tuple(
-                parent[v] | (1 << new if subset >> v & 1 else 0)
-                for v in range(new)
-            ) + (subset,)
+            child = (
+                *[m | 1 << new if subset >> v & 1 else m for v, m in enumerate(parent)],
+                subset,
+            )
             root = refinement_colors(child)
             if len(set(root)) == n:
                 form = _form(child, root)
@@ -289,11 +291,16 @@ def enumerate_mask_graphs(n: int) -> tuple[Masks, ...]:
                 out.append(child)
                 pending[key] = child
                 continue
-            if pending[key] is not None:
-                seen.update(_leaves(pending[key], []))
-                pending[key] = None
             leaves = _leaves(child, [], root)
             first = next(leaves)
+            if first not in seen and pending[key] is not None:
+                # search the pending child only as far as this form
+                for form in _leaves(pending[key], []):
+                    seen.add(form)
+                    if form == first:
+                        break
+                else:
+                    pending[key] = None
             if first not in seen:
                 out.append(child)
                 seen.add(first)

@@ -373,7 +373,7 @@ def test_enumeration_makes_no_certificate_call(monkeypatch):
     monkeypatch.setattr(iso, "refinement_colors", counted)
     monkeypatch.setattr(iso, "_ENUM_CACHE", {})
     graphs = enumerate_mask_graphs(7)
-    assert len(calls) == 5318
+    assert len(calls) == 4768
     assert set(certificates(graphs)) == expected
 
 
@@ -404,3 +404,4 @@ def test_enumeration_does_not_depend_on_the_bucket_key(monkeypatch):
     monkeypatch.setattr(iso, "_ENUM_CACHE", {})
     monkeypatch.setattr(iso, "_bucket_key", lambda masks, colors: 0)
     assert [enumerate_mask_graphs(n) for n in range(8)] == expected
+
