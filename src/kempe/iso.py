@@ -44,10 +44,9 @@ def refinement_colors(masks: Masks, colors: list[int] | None = None) -> list[int
     width = n.bit_length()
     classes = len(set(colors))
     while True:
-        weight = [1 << c * width for c in colors]
+        weight = [1 << c * width for c in colors].__getitem__
         own = (max(colors, default=0) + 1) * width
-        color_sum = weight.__getitem__
-        sigs = [c << own | sum(map(color_sum, a)) for c, a in zip(colors, adj)]
+        sigs = [c << own | sum(map(weight, a)) for c, a in zip(colors, adj)]
         relabel = {s: i for i, s in enumerate(sorted(set(sigs)))}
         colors = [relabel[s] for s in sigs]
         # a discrete coloring is stable: no confirming round is needed
@@ -199,7 +198,7 @@ def _subset_action(gamma: Perm) -> Perm:
     """The permutation `gamma` acting on the subsets of its points, as bit
     masks: position s goes to the mask of the images of s's members."""
     image = [0]
-    for g in gamma:  # the subsets holding point v are those past 2^v
+    for g in gamma:  # g = gamma[v]: s + 2^v, s < 2^v, goes to image[s] | 2^g
         image += [s | 1 << g for s in image]
     return tuple(image)
 
@@ -211,11 +210,11 @@ def _bucket_key(masks: Masks, colors: list[int]) -> int:
     coloring is stable. The colors are numbered from the degrees alone, so
     isomorphic graphs share the key."""
     width = len(masks).bit_length()
-    color_sum = [1 << c * width for c in colors].__getitem__
+    weight = [1 << c * width for c in colors].__getitem__
     member = dict(zip(colors, masks))
     return hash((
         *sorted(colors),
-        *[sum(map(color_sum, bit_positions(member[c]))) for c in range(len(member))],
+        *[sum(map(weight, bit_positions(member[c]))) for c in range(len(member))],
     ))
 
 

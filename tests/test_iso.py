@@ -405,3 +405,28 @@ def test_enumeration_does_not_depend_on_the_bucket_key(monkeypatch):
     monkeypatch.setattr(iso, "_bucket_key", lambda masks, colors: 0)
     assert [enumerate_mask_graphs(n) for n in range(8)] == expected
 
+
+
+def test_enumeration_resumes_a_pending_search(monkeypatch):
+    """A pending child's search stops at the form a hit asks for, and the
+    child stays pending until its search ends. With one bucket per class
+    and the j-th hit of a class leading with its j-th leaf form, later hits
+    ask for forms past where earlier ones stopped; the representatives and
+    their order stay those of the real enumeration. n = 8 because below it
+    no class with two or more leaf forms has two hits."""
+    expected = enumerate_mask_graphs(8)
+    leaves = iso._leaves
+    hits = defaultdict(int)
+
+    def shifted(masks, found, root=None):
+        forms = list(leaves(masks, found, root))
+        if root is None:  # certificates and pending searches: search order
+            return iter(forms)
+        j = hits[min(forms)] % len(forms)
+        hits[min(forms)] += 1
+        return iter(forms[j:] + forms[:j])
+
+    monkeypatch.setattr(iso, "_ENUM_CACHE", {})
+    monkeypatch.setattr(iso, "_leaves", shifted)
+    monkeypatch.setattr(iso, "_bucket_key", lambda masks, colors: hash(certificate(masks)))
+    assert enumerate_mask_graphs(8) == expected
