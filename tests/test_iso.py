@@ -406,7 +406,6 @@ def test_enumeration_does_not_depend_on_the_bucket_key(monkeypatch):
     assert [enumerate_mask_graphs(n) for n in range(8)] == expected
 
 
-
 def test_enumeration_resumes_a_pending_search(monkeypatch):
     """A pending child's search stops at the form a hit asks for, and the
     child stays pending until its search ends. With one bucket per class
