@@ -14,7 +14,7 @@ from heapq import heapify, heappop, heappush
 from struct import Struct
 from typing import Callable
 
-from .coloring import ColoringError, PartialEdgeColoring
+from .coloring import ColoringError, PartialEdgeColoring, kempe_walk
 from .graph import Edge, Graph, edge_key
 from .iso import automorphisms, edge_actions, orbit_representatives
 
@@ -383,14 +383,22 @@ def all_edges_critical(g: Graph) -> bool:
     Delta(g)-colorable for each edge e? The caller supplies the Class 2
     fact. An automorphism taking e to f makes g - e and g - f isomorphic,
     so only the first edge of each orbit under `iso.automorphisms`, in
-    `g.edges()` order, is solved."""
+    `g.edges()` order, is tried. A `kempe_walk` from the empty coloring,
+    seeded once per call and given 8 * Delta steps beyond one per edge,
+    tries g - e first; only when it gives up does `find_edge_coloring`
+    answer, so a "no" still comes from the exhaustive search."""
     delta = g.max_degree()
     edges = g.edges()
     actions = edge_actions(edges, automorphisms(g.adjacency_masks()))
-    return all(
-        find_edge_coloring(g.without_edge(edges[i]), delta) is not None
-        for i in orbit_representatives(len(edges), actions)
-    )
+    rng = random.Random(0)
+    for i in orbit_representatives(len(edges), actions):
+        h = g.without_edge(edges[i])
+        queue = h.edges()
+        steps = len(queue) + 8 * delta
+        walked = kempe_walk(h, delta, {}, queue, rng, steps)
+        if walked is None and find_edge_coloring(h, delta) is None:
+            return False
+    return True
 
 
 def is_delta_critical(g: Graph) -> bool:

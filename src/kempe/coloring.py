@@ -1,4 +1,5 @@
-"""Partial proper edge colorings, Kempe chains, and swap scripts.
+"""Partial proper edge colorings, Kempe chains, swap scripts, and a seeded
+Kempe walk that can only answer "colorable".
 
 Colors are integers 1..k. Missing-color sets are maintained incrementally
 as per-vertex bitmasks (bit c-1 set when color c is present), so k is
@@ -7,6 +8,7 @@ limited to 64 — plenty at desk scale.
 
 from __future__ import annotations
 
+import random
 import re
 from dataclasses import dataclass, field
 from typing import Iterable, Sequence
@@ -101,6 +103,12 @@ class PartialEdgeColoring:
 
     def colored_edges(self) -> dict[Edge, int]:
         return dict(self._assign)
+
+    def color_bytes(self, edges: Iterable[Edge]) -> bytes:
+        """The color of each of `edges`, normalized edges of the graph, in
+        order, with 0 for an uncolored edge."""
+        get = self._assign.get
+        return bytes([get(e, 0) for e in edges])
 
     def uncolored_edges(self) -> list[Edge]:
         return [e for e in self.graph.edges() if e not in self._assign]
@@ -430,6 +438,100 @@ def parse_coloring(graph: Graph, text: str) -> PartialEdgeColoring:
     if col.uncolored_count() != uncolored:
         raise ValueError("uncolored count does not match header")
     return col
+
+
+# ---------------------------------------------------------------------------
+# A seeded Kempe walk: a heuristic that can only answer "colorable"
+# ---------------------------------------------------------------------------
+
+
+def kempe_walk(
+    graph: Graph,
+    k: int,
+    assign: dict[Edge, int],
+    queue: list[Edge],
+    rng: random.Random,
+    steps: int,
+) -> PartialEdgeColoring | None:
+    """Extend the proper partial k-coloring `assign` (normalized edge ->
+    color; changed in place) to the uncolored edges `queue` by Kempe
+    changes, as in Vizing's argument, in at most `steps` steps. Returns the
+    full coloring, or None when the steps run out: a None says nothing
+    about whether a k-coloring exists. k must be at least Delta, so each
+    end of an uncolored edge misses a color; a smaller k is a ValueError.
+
+    A step pops an uncolored edge uv. If u and v miss a common color, uv
+    takes the least one. Otherwise it picks a missing at u and b missing at
+    v, at random. v is an end of its (a, b)-path; when the path does not
+    end at u, swapping it frees a at v and uv takes a. When it does end at
+    u, a random colored edge at u is uncolored, and both edges go back on
+    the queue, uv on top.
+
+    The walk keeps, per vertex, a map from each color present to the
+    neighbor across that edge, so a path is followed with one lookup per
+    edge. Its result comes from `PartialEdgeColoring.from_assignment`,
+    which raises ColoringError on an improper coloring, and a coloring
+    missing an edge of graph raises ColoringError too."""
+    if k < graph.max_degree():
+        raise ValueError(f"a walk needs k >= Delta = {graph.max_degree()}, got {k}")
+    # at[v]: color -> the neighbor across v's edge of that color;
+    # present[v]: bit c set when color c is at v
+    at: list[dict[int, int]] = [{} for _ in range(graph.n)]
+    present = [0] * graph.n
+    for (u, v), c in assign.items():
+        at[u][c] = v
+        at[v][c] = u
+        present[u] |= 1 << c
+        present[v] |= 1 << c
+    full = (1 << k + 1) - 2
+    pending = list(queue)
+    for _ in range(steps):
+        if not pending:
+            break
+        u, v = pending.pop()
+        common = full & ~(present[u] | present[v])
+        if common:
+            c = (common & -common).bit_length() - 1
+        else:
+            a = rng.choice(bit_positions(full & ~present[u]))
+            b = rng.choice(bit_positions(full & ~present[v]))
+            path = []
+            x, c, d = v, a, b
+            while c in at[x]:
+                y = at[x][c]
+                path.append((x, y, c))
+                x, c, d = y, d, c
+            if x == u:
+                c = rng.choice(bit_positions(present[u]))
+                w = at[u].pop(c)
+                del at[w][c]
+                present[u] ^= 1 << c
+                present[w] ^= 1 << c
+                e = edge_key(u, w)
+                del assign[e]
+                pending += (e, (u, v))
+                continue
+            for y, z, c in path:
+                del at[y][c], at[z][c]
+            for y, z, c in path:
+                c = a + b - c
+                at[y][c] = z
+                at[z][c] = y
+                assign[edge_key(y, z)] = c
+            # only the path's ends change which of a and b they hold
+            present[v] ^= 1 << a | 1 << b
+            present[x] ^= 1 << a | 1 << b
+            c = a
+        at[u][c] = v
+        at[v][c] = u
+        present[u] |= 1 << c
+        present[v] |= 1 << c
+        assign[u, v] = c
+    if pending:
+        return None
+    if len(assign) != graph.edge_count():
+        raise ColoringError("the walk left an edge of the graph uncolored")
+    return PartialEdgeColoring.from_assignment(graph, k, assign)
 
 
 # ---------------------------------------------------------------------------

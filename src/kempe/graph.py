@@ -63,6 +63,25 @@ class Graph:
         self.n = n
         self._adj: tuple[frozenset[int], ...] = tuple(frozenset(s) for s in adj)
 
+    @classmethod
+    def from_masks(cls, masks: Iterable[int]) -> "Graph":
+        """The graph whose `adjacency_masks()` are `masks`: bit w of entry v
+        set when vw is an edge. Masks that are not symmetric, have a loop or
+        name a vertex outside 0..n-1 raise ValueError."""
+        masks = tuple(masks)
+        if any(m < 0 for m in masks):
+            raise ValueError("adjacency masks must be non-negative")
+        adj = tuple(frozenset(bit_positions(m)) for m in masks)
+        n = len(adj)
+        for v, s in enumerate(adj):
+            for w in s:
+                if w >= n or v not in adj[w] or w == v:
+                    raise ValueError(f"masks are not a simple graph at ({v},{w})")
+        g = cls.__new__(cls)
+        g.n = n
+        g._adj = adj
+        return g
+
     def neighbors(self, v: int) -> frozenset[int]:
         return self._adj[v]
 

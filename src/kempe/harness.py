@@ -12,9 +12,9 @@ they carry work counts, never wall times.
 from __future__ import annotations
 
 import json
+import random
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Iterator
 
 from .classify import (
     all_edges_critical,
@@ -22,7 +22,7 @@ from .classify import (
     find_edge_coloring,
     is_delta_critical,
 )
-from .coloring import PartialEdgeColoring
+from .coloring import PartialEdgeColoring, kempe_walk
 from .graph import (
     Graph,
     Multigraph,
@@ -78,27 +78,7 @@ def _check_enumeration_budget(n: int) -> None:
 def enumerate_graphs(n: int) -> tuple[Graph, ...]:
     """All simple graphs on n vertices up to isomorphism."""
     _check_enumeration_budget(n)
-    return tuple(_graph_from_masks(masks) for masks in enumerate_mask_graphs(n))
-
-
-def enumerate_graphs_upto(n_max: int) -> Iterator[Graph]:
-    """All simple graphs on 1..n_max vertices up to isomorphism, one at a
-    time: each `Graph` is built from its masks when it is reached, so a
-    pass over them never holds them all. The budget is checked at once."""
-    _check_enumeration_budget(n_max)
-    return (
-        _graph_from_masks(masks)
-        for n in range(1, n_max + 1)
-        for masks in enumerate_mask_graphs(n)
-    )
-
-
-def _graph_from_masks(masks: tuple[int, ...]) -> Graph:
-    n = len(masks)
-    edges = [
-        (u, v) for u in range(n) for v in range(u + 1, n) if masks[u] >> v & 1
-    ]
-    return Graph(n, edges)
+    return tuple(map(Graph.from_masks, enumerate_mask_graphs(n)))
 
 
 # n_max -> (Delta-critical graphs, parity report) of one enumeration pass
@@ -106,21 +86,50 @@ _CRITICAL_CACHE: dict[int, tuple[tuple[Graph, ...], VerificationReport]] = {}
 
 
 def _corpus_pass(n_max: int) -> tuple[tuple[Graph, ...], VerificationReport]:
-    """Solve each enumerated graph with edges once: a Delta-coloring goes
-    to the parity check; a refuted graph is Class 2, so a connected one
-    only needs its edges tested for criticality."""
+    """Classify each enumerated graph with edges once, one order at a
+    time: a Delta-coloring goes to the parity check; a graph with none is
+    Class 2, so a connected one only needs its edges tested for
+    criticality. The budget is checked at once, and each `Graph` is built
+    when its masks are reached, so a pass never holds a level of them.
+
+    A graph on n vertices is its parent, listed on n - 1 vertices, plus
+    vertex n - 1 (`enumerate_mask_graphs`), so a Delta-coloring of the
+    parent leaves only the new vertex's edges to color; `kempe_walk` tries
+    that. The parent's coloring is kept as one color byte per edge, in
+    `g.edges()` order, and only below n_max. When the parent has none or
+    the walk gives up, `find_edge_coloring` answers, so every "no", and
+    with it every Class 2 verdict, comes from the exhaustive search or its
+    edge count."""
+    _check_enumeration_budget(n_max)
     if n_max not in _CRITICAL_CACHE:
         critical: list[Graph] = []
+        rng = random.Random(0)
 
         def parity_reports():
-            for g in enumerate_graphs_upto(n_max):
-                if not g.edge_count():
-                    continue
-                col = find_edge_coloring(g, g.max_degree())
-                if col is not None:
-                    yield check_parity(col)
-                elif g.is_connected() and all_edges_critical(g):
-                    critical.append(g)
+            colors = {(): b""}  # masks -> color bytes, one order down
+            for n in range(1, n_max + 1):
+                below, colors, new = colors, {}, n - 1
+                for masks in enumerate_mask_graphs(n):
+                    g = Graph.from_masks(masks)
+                    edges = g.edges()
+                    if not edges:
+                        colors[masks] = b""
+                        continue
+                    delta = g.max_degree()
+                    parent = below.get(tuple(m & ~(1 << new) for m in masks[:-1]))
+                    col = None
+                    if parent is not None:
+                        assign = dict(zip([e for e in edges if e[1] != new], parent))
+                        queue = [e for e in edges if e[1] == new]
+                        col = kempe_walk(g, delta, assign, queue, rng, 8 * delta)
+                    if col is None:
+                        col = find_edge_coloring(g, delta)
+                    if col is not None:
+                        if n < n_max:
+                            colors[masks] = col.color_bytes(edges)
+                        yield check_parity(col)
+                    elif g.is_connected() and all_edges_critical(g):
+                        critical.append(g)
 
         parity = merge_reports(parity_reports(), "parity")
         _CRITICAL_CACHE[n_max] = tuple(critical), parity
@@ -371,7 +380,7 @@ def _color_class_key(col: PartialEdgeColoring, edges: list[tuple[int, int]]) -> 
     """The color of each of `edges` in order, with the colors renamed by
     first appearance and 0 for an uncolored edge: two colorings of one
     graph get the same key iff they differ only in the names of colors."""
-    return _renamed(bytes(c or 0 for c in map(col.color_of, edges)))
+    return _renamed(col.color_bytes(edges))
 
 
 def _orbit_class(key: bytes, actions: list[tuple[int, ...]]) -> bytes:

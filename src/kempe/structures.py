@@ -630,15 +630,22 @@ def check_val(g: Graph, e: tuple[int, int]) -> VerificationReport:
 
 def check_parity(col: PartialEdgeColoring) -> VerificationReport:
     """In a full coloring, each color is missing at a vertex count with the
-    parity of n (the color class is a matching saturating the rest)."""
+    parity of n (the color class is a matching saturating the rest).
+
+    One pass: bit c - 1 of the XOR of the missing masks is the parity of
+    the count missing c, and an odd n flips every bit, so a set bit marks
+    a color with the wrong parity; the least one is reported."""
     check = "parity"
     if col.uncolored_count():
         raise ValueError("parity check requires a full coloring")
     n = col.graph.n
-    for c in range(1, col.k + 1):
+    wrong = (1 << col.k) - 1 if n % 2 else 0
+    for v in range(n):
+        wrong ^= col.missing_mask(v)
+    if wrong:
+        c = (wrong & -wrong).bit_length()
         cnt = sum(1 for v in range(n) if col.is_missing(v, c))
-        if cnt % 2 != n % 2:
-            return failing(check, col, color=c, missing_count=cnt)
+        return failing(check, col, color=c, missing_count=cnt)
     return passing(check, colors=col.k)
 
 

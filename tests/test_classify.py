@@ -33,7 +33,7 @@ from kempe.graph import (
     split_vertex,
 )
 from kempe.coloring import ColoringError, PartialEdgeColoring
-from kempe.harness import delta_critical_corpus, enumerate_graphs_upto
+from kempe.harness import delta_critical_corpus, enumerate_graphs
 from kempe.structures import check_parity
 
 from oracles import (
@@ -49,6 +49,12 @@ from oracles import (
 # order, the seeded relabelling, the symmetry breaking or the enumeration's
 # labelled representatives changes it.
 SOLVER_DIGEST = "5832e4b61f73ec3fbafe1b60e93ea6b0356b4b54f2c3774f5bd3eb0008180cfb"
+
+
+def graphs_upto(n_max: int):
+    """Every graph on 1..n_max vertices up to isomorphism, smallest order
+    first."""
+    return (g for n in range(1, n_max + 1) for g in enumerate_graphs(n))
 
 
 def test_exact_chromatic_index_fixtures(k4, k6, pstar, c5):
@@ -108,7 +114,7 @@ def test_vizing_bound_never_beaten_small():
     """The fan coloring can never use fewer colors than the exact index
     allows: verify chi' <= Delta+1 and exact <= vizing on the n <= 6
     enumeration."""
-    for g in enumerate_graphs_upto(6):
+    for g in graphs_upto(6):
         if g.edge_count() == 0 or g.n < 2:
             continue
         chi = exact_chromatic_index(g)
@@ -174,7 +180,7 @@ def test_orbit_reduced_criticality_matches_every_edge():
     """On every connected Class 2 graph with n <= 7, solving one edge per
     automorphism orbit answers as solving every edge does."""
     answers = []
-    for g in enumerate_graphs_upto(7):
+    for g in graphs_upto(7):
         if not g.edge_count() or not g.is_connected():
             continue
         delta = g.max_degree()
@@ -199,16 +205,25 @@ def test_orbit_reduced_criticality_matches_every_edge():
     ],
 )
 def test_edge_transitive_criticality_is_one_solve(monkeypatch, g, critical):
+    """One edge orbit, so one graph g - e is tried: by the walk, and by the
+    solver only when the walk gives up, as it must on K5 - e."""
     calls = []
-    solve = classifier.find_edge_coloring
+    solve, walk = classifier.find_edge_coloring, classifier.kempe_walk
 
     def counting(h, k, *args, **kwargs):
-        calls.append(h.edges())
+        calls.append(("solve", h.edges()))
         return solve(h, k, *args, **kwargs)
 
+    def walking(h, k, *args):
+        calls.append(("walk", h.edges()))
+        return walk(h, k, *args)
+
     monkeypatch.setattr(classifier, "find_edge_coloring", counting)
+    monkeypatch.setattr(classifier, "kempe_walk", walking)
     assert all_edges_critical(g) is critical
-    assert calls == [g.without_edge(g.edges()[0]).edges()]
+    tried = g.without_edge(g.edges()[0]).edges()
+    want = [("walk", tried)] if critical else [("walk", tried), ("solve", tried)]
+    assert calls == want
 
 
 def test_delta_coloring_of_minus_e_triangle(triangle):
@@ -252,7 +267,7 @@ def test_budget_error_carries_progress():
 
 def test_solver_output_is_pinned():
     results = []
-    for g in enumerate_graphs_upto(6):
+    for g in graphs_upto(6):
         if not g.edge_count():
             continue
         for seed in (None, 0, 1):
@@ -265,7 +280,7 @@ def test_solver_output_is_pinned():
 def test_degeneracy_rank_matches_the_scan():
     """The heap ranking equals the plain scan's, ties included, on every
     graph with n <= 8 and on random graphs up to 60 vertices."""
-    graphs = [(g.n, list(g.edges())) for g in enumerate_graphs_upto(8)]
+    graphs = [(g.n, list(g.edges())) for g in graphs_upto(8)]
     rng = random.Random(7)
     for _ in range(300):
         n = rng.randrange(1, 61)
@@ -289,7 +304,7 @@ def same_coloring(col, ref):
 def test_solver_matches_the_rebuilding_reference():
     """The seeded relabelling and the one-pass result change no colouring
     and no insertion order."""
-    for g in enumerate_graphs_upto(6):
+    for g in graphs_upto(6):
         for seed in (None, 0, 1):
             ref = reference_find_edge_coloring(g, g.max_degree(), seed)
             assert same_coloring(find_edge_coloring(g, g.max_degree(), seed=seed), ref)
@@ -407,7 +422,7 @@ def test_snark_refutation_node_counts(k, nodes):
 
 
 def test_solver_agrees_with_brute_force(pstar):
-    graphs = [g for g in enumerate_graphs_upto(6) if g.edge_count()]
+    graphs = [g for g in graphs_upto(6) if g.edge_count()]
     for g in graphs + [builtin_fixture("petersen"), pstar]:
         k = g.max_degree()
         assert (find_edge_coloring(g, k) is None) is not bruteforce_edge_colorable(g, k)

@@ -5,7 +5,7 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from kempe.classify import vizing_plus_one_coloring
+from kempe.classify import find_edge_coloring, vizing_plus_one_coloring
 from kempe.coloring import (
     AssignColor,
     ColoringError,
@@ -17,10 +17,11 @@ from kempe.coloring import (
     SwapScript,
     SwapSubchain,
     apply_script,
+    kempe_walk,
     parse_coloring,
 )
 from kempe.graph import Graph, builtin_fixture, cycle_graph, identify_pair
-from kempe.harness import round_robin_one_factorization
+from kempe.harness import enumerate_graphs, round_robin_one_factorization
 
 
 def triangle_minus_ab() -> PartialEdgeColoring:
@@ -409,3 +410,50 @@ def test_from_assignment_equals_coloring_edge_by_edge():
         assert col == built and col.validate()
         assert list(col.colored_edges()) == list(built.colored_edges())
         assert all(col.missing(v) == built.missing(v) for v in range(g.n))
+
+
+def test_kempe_walk_swaps_a_path_to_free_a_color():
+    """On the path 3-0-1-2 with 12 colored 1 and 03 colored 2, the ends of 01
+    miss no common color; the (1, 2)-path from 1 is the edge 12, which does
+    not reach 0, so one step swaps it and colors 01 with 1."""
+    g = Graph(4, [(0, 1), (1, 2), (0, 3)])
+    col = kempe_walk(g, 2, {(1, 2): 1, (0, 3): 2}, [(0, 1)], random.Random(0), 1)
+    assert col.colored_edges() == {(1, 2): 2, (0, 3): 2, (0, 1): 1}
+    assert col.is_full() and col.validate()
+    assert kempe_walk(g, 2, {(1, 2): 1, (0, 3): 2}, [(0, 1)], random.Random(0), 0) is None
+
+
+def test_kempe_walk_answers_only_yes():
+    """From the empty coloring, on every graph with n <= 6 at k = Delta and
+    k = Delta + 1, the walk returns a validated full k-coloring or None and
+    never raises. It never colors a Class 2 graph with Delta colors, it
+    colors every graph with Delta + 1, and it gives up on few Class 1
+    graphs."""
+    rng = random.Random(0)
+    class1 = gave_up = 0
+    for n in range(1, 7):
+        for g in enumerate_graphs(n):
+            delta = g.max_degree()
+            colorable = find_edge_coloring(g, delta) is not None
+            class1 += colorable
+            for k in (delta, delta + 1):
+                col = kempe_walk(g, k, {}, g.edges(), rng, 8 * k * g.edge_count())
+                if col is None:
+                    assert k == delta
+                    gave_up += colorable
+                    continue
+                assert col.k == k and col.is_full() and col.validate()
+                assert colorable or k > delta
+    assert class1 == 189 and gave_up <= class1 // 50
+
+
+def test_kempe_walk_validates_its_result():
+    g = cycle_graph(4)
+    rng = random.Random(0)
+    with pytest.raises(ColoringError, match="already present"):
+        improper = {(0, 1): 1, (1, 2): 1, (2, 3): 2, (0, 3): 2}
+        kempe_walk(g, 2, improper, [], rng, 10)
+    with pytest.raises(ColoringError, match="uncolored"):
+        kempe_walk(g, 2, {(0, 1): 1}, [(1, 2)], rng, 10)  # (2, 3) never queued
+    with pytest.raises(ValueError, match="k >= Delta"):
+        kempe_walk(g, 1, {}, g.edges(), rng, 10)

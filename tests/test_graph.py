@@ -43,6 +43,22 @@ def test_edges_do_not_depend_on_build_order():
         assert g.edges() == sorted(g.edges())
 
 
+def test_from_masks_inverts_adjacency_masks():
+    for name in ("petersen", "pstar", "cube", "splitk4", "c5"):
+        g = builtin_fixture(name)
+        h = Graph.from_masks(g.adjacency_masks())
+        assert h == g and h.edges() == g.edges()
+    assert Graph.from_masks([]) == Graph(0)
+    for masks, message in [
+        ((2, 0), "not a simple graph"),  # 0 -> 1 without 1 -> 0
+        ((1,), "not a simple graph"),  # a loop
+        ((4, 0), "not a simple graph"),  # a vertex past n
+        ((-1,), "non-negative"),
+    ]:
+        with pytest.raises(ValueError, match=message):
+            Graph.from_masks(masks)
+
+
 def test_max_degree_fixtures(triangle, pstar, splitk4):
     assert triangle.max_degree() == 2
     assert pstar.max_degree() == 3

@@ -32,7 +32,6 @@ from kempe.harness import (
     _split_specs,
     delta_critical_corpus,
     enumerate_graphs,
-    enumerate_graphs_upto,
     lemma_sweep,
     parity_sweep,
     round_robin_one_factorization,
@@ -81,28 +80,39 @@ def test_enumeration_result_is_immutable():
     assert len(enumerate_mask_graphs(4)) == KNOWN_GRAPH_COUNTS[4]
 
 
-def test_enumeration_budget():
+def test_enumeration_budget(monkeypatch):
     with pytest.raises(ValueError):
         enumerate_graphs(9)
-    with pytest.raises(ValueError):
-        enumerate_graphs_upto(9)  # at once, before any graph is enumerated
-
-
-def test_enumerate_graphs_upto_streams(monkeypatch):
-    """The corpus pass gets each graph as it reaches it: the first graph
-    comes before any larger order is enumerated."""
     orders = []
+    monkeypatch.setattr(harness, "enumerate_mask_graphs", orders.append)
+    with pytest.raises(ValueError):
+        delta_critical_corpus(9)
+    assert orders == []  # refused at once, before any graph is enumerated
+
+
+def test_corpus_pass_streams(monkeypatch):
+    """The corpus pass goes one order at a time: the graphs of order n are
+    classified after order n is enumerated and before order n + 1 is."""
+    events = []
 
     def recorded(n):
-        orders.append(n)
+        events.append(("enumerate", n))
         return enumerate_mask_graphs(n)
 
+    check = harness.check_parity
+
+    def checked(col):
+        events.append(("parity", col.graph.n))
+        return check(col)
+
+    monkeypatch.setattr(harness, "_CRITICAL_CACHE", {})
     monkeypatch.setattr(harness, "enumerate_mask_graphs", recorded)
-    graphs = enumerate_graphs_upto(6)
-    assert next(graphs).n == 1
-    assert orders == [1]
-    assert sum(1 for _ in graphs) == sum(KNOWN_GRAPH_COUNTS[n] for n in range(1, 7)) - 1
-    assert orders == list(range(1, 7))
+    monkeypatch.setattr(harness, "check_parity", checked)
+    delta_critical_corpus(6)
+    assert [n for kind, n in events if kind == "enumerate"] == list(range(1, 7))
+    assert [n for _, n in events] == sorted(n for _, n in events)
+    for n in range(2, 7):
+        assert events.index(("enumerate", n)) < events.index(("parity", n))
 
 
 def test_enumerated_graphs_are_their_masks():
@@ -250,6 +260,46 @@ def test_parity_sweep_reuses_corpus_pass(monkeypatch):
     rep = parity_sweep(5)
     assert calls == []
     assert rep.passed and rep.fired
+
+
+def test_corpus_pass_without_the_walk_is_unchanged(monkeypatch):
+    """With every walk giving up, the solver colors each graph, and the
+    pass finds the same critical graphs in the same order and an equal
+    parity report."""
+    monkeypatch.setattr(harness, "_CRITICAL_CACHE", {})
+    walked = harness._corpus_pass(7)
+    monkeypatch.setattr(harness, "_CRITICAL_CACHE", {})
+    monkeypatch.setattr(harness, "kempe_walk", lambda *args: None)
+    assert harness._corpus_pass(7) == walked
+    assert len(walked[0]) == 26
+
+
+def test_every_class2_verdict_is_a_refutation(monkeypatch):
+    """The walk can only answer yes: the pass's Class 2 verdicts, its
+    graphs with edges less its parity-checked colorings, are exactly the
+    solver's refutations in the pass."""
+    monkeypatch.setattr(harness, "_CRITICAL_CACHE", {})
+    walks, refuted = [], []
+    walk, solve = harness.kempe_walk, harness.find_edge_coloring
+
+    def walking(*args):
+        col = walk(*args)
+        walks.append(col is not None)
+        return col
+
+    def solving(g, k):
+        col = solve(g, k)
+        refuted.append(col is None)
+        return col
+
+    monkeypatch.setattr(harness, "kempe_walk", walking)
+    monkeypatch.setattr(harness, "find_edge_coloring", solving)
+    _, parity = harness._corpus_pass(7)
+    with_edges = sum(1 for n in range(1, 8) for masks in enumerate_mask_graphs(n) if any(masks))
+    assert with_edges - parity.hypothesis_met == sum(refuted) > 0
+    # most graphs are colored by the walk, and the solver answers the rest
+    assert True in walks and False in walks
+    assert len(refuted) < len(walks) // 4
 
 
 def test_mining_vacuous_on_small_corpus(critical_corpus_small):

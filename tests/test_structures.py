@@ -639,6 +639,49 @@ def test_parity_examples():
         check_parity(col)
 
 
+def per_color_parity_failure(col: PartialEdgeColoring) -> tuple[int, int] | None:
+    """The least color whose missing count has the wrong parity, with that
+    count, found by one count per color."""
+    n = col.graph.n
+    for c in range(1, col.k + 1):
+        cnt = sum(1 for v in range(n) if col.is_missing(v, c))
+        if cnt % 2 != n % 2:
+            return c, cnt
+    return None
+
+
+def test_parity_failure_on_a_tampered_state():
+    """No proper full coloring fails the parity check, so the failing path
+    is reached by flipping bits of the present-color masks. The one-pass
+    check reports the least color of wrong parity and its missing count,
+    as counting each color does, for odd and even n."""
+    rng = random.Random(11)
+    hosts = [
+        find_edge_coloring(builtin_fixture("k4"), 3),
+        find_edge_coloring(Graph(3, [(0, 1), (1, 2)]), 2),
+        find_edge_coloring(builtin_fixture("cube"), 3),
+    ]
+    failures = 0
+    for host in hosts:
+        assert check_parity(host).passed
+        n = host.graph.n
+        for _ in range(40):
+            bad = host.copy()
+            for v in rng.sample(range(n), rng.randint(1, n)):
+                bad._present[v] ^= 1 << rng.randrange(bad.k)
+            rep = check_parity(bad)
+            want = per_color_parity_failure(bad)
+            if want is None:
+                assert rep.passed
+                continue
+            failures += 1
+            assert not rep.passed
+            color, count = want
+            assert rep.counterexample["color"] == color
+            assert rep.counterexample["missing_count"] == count
+    assert failures
+
+
 def test_fulldpair_triangle_and_splitk4(triangle, splitk4):
     rep = check_fulldpair_lemma(triangle, 0, 1)
     assert rep.passed and rep.fired
