@@ -352,17 +352,28 @@ def _search(
 # ---------------------------------------------------------------------------
 
 
+def walk_then_search(
+    g: Graph, k: int, rng: random.Random, assign: dict[Edge, int] | None = None
+) -> PartialEdgeColoring | None:
+    """A proper k-coloring of g (k >= Delta), or None when none exists:
+    `kempe_walk` extends the proper partial k-coloring `assign` (empty by
+    default; changed in place) over the rest of `g.edges()`, in that order,
+    in one step per queued edge plus 8 * k, and `find_edge_coloring`
+    answers only when it gives up, so every None is a refutation."""
+    assign = {} if assign is None else assign
+    queue = [e for e in g.edges() if e not in assign]
+    col = kempe_walk(g, k, assign, queue, rng, len(queue) + 8 * k)
+    return col if col is not None else find_edge_coloring(g, k)
+
+
 def exact_chromatic_index(g: Graph) -> int:
     """Delta if a Delta-coloring exists, else Delta + 1."""
-    if g.edge_count() == 0:
-        return 0
     delta = g.max_degree()
-    return delta if find_edge_coloring(g, delta) is not None else delta + 1
+    found = walk_then_search(g, delta, random.Random(0))
+    return delta if found is not None else delta + 1
 
 
 def classify(g: Graph) -> GraphClass:
-    if g.edge_count() == 0:
-        return GraphClass.CLASS1
     chi = exact_chromatic_index(g)
     return GraphClass.CLASS1 if chi == g.max_degree() else GraphClass.CLASS2
 
@@ -375,7 +386,7 @@ def is_critical_edge(g: Graph, e: tuple[int, int]) -> bool:
     h = g.without_edge(e)
     if classify(g) is GraphClass.CLASS1:
         raise ValueError("criticality is defined for Class 2 graphs only")
-    return find_edge_coloring(h, g.max_degree()) is not None
+    return walk_then_search(h, g.max_degree(), random.Random(0)) is not None
 
 
 def all_edges_critical(g: Graph) -> bool:
@@ -383,22 +394,16 @@ def all_edges_critical(g: Graph) -> bool:
     Delta(g)-colorable for each edge e? The caller supplies the Class 2
     fact. An automorphism taking e to f makes g - e and g - f isomorphic,
     so only the first edge of each orbit under `iso.automorphisms`, in
-    `g.edges()` order, is tried. A `kempe_walk` from the empty coloring,
-    seeded once per call and given 8 * Delta steps beyond one per edge,
-    tries g - e first; only when it gives up does `find_edge_coloring`
-    answer, so a "no" still comes from the exhaustive search."""
+    `g.edges()` order, is tried, by `walk_then_search` with one generator
+    seeded per call."""
     delta = g.max_degree()
     edges = g.edges()
     actions = edge_actions(edges, automorphisms(g.adjacency_masks()))
     rng = random.Random(0)
-    for i in orbit_representatives(len(edges), actions):
-        h = g.without_edge(edges[i])
-        queue = h.edges()
-        steps = len(queue) + 8 * delta
-        walked = kempe_walk(h, delta, {}, queue, rng, steps)
-        if walked is None and find_edge_coloring(h, delta) is None:
-            return False
-    return True
+    return all(
+        walk_then_search(g.without_edge(edges[i]), delta, rng) is not None
+        for i in orbit_representatives(len(edges), actions)
+    )
 
 
 def is_delta_critical(g: Graph) -> bool:

@@ -37,6 +37,8 @@ def bit_positions(mask: int) -> tuple[int, ...]:
     """The positions of the set bits of `mask`, in increasing order: the
     neighbors in an adjacency mask, or the colors in a color mask shifted
     up by one (color c at bit c)."""
+    if mask < 0:
+        raise ValueError(f"a bit mask is non-negative, got {mask}")
     out = []
     while mask:
         bit = mask & -mask

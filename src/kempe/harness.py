@@ -19,10 +19,10 @@ from pathlib import Path
 from .classify import (
     all_edges_critical,
     delta_coloring_of_minus_e,
-    find_edge_coloring,
     is_delta_critical,
+    walk_then_search,
 )
-from .coloring import PartialEdgeColoring, kempe_walk
+from .coloring import PartialEdgeColoring
 from .graph import (
     Graph,
     Multigraph,
@@ -93,12 +93,11 @@ def _corpus_pass(n_max: int) -> tuple[tuple[Graph, ...], VerificationReport]:
     when its masks are reached, so a pass never holds a level of them.
 
     A graph on n vertices is its parent, listed on n - 1 vertices, plus
-    vertex n - 1 (`enumerate_mask_graphs`), so a Delta-coloring of the
-    parent leaves only the new vertex's edges to color; `kempe_walk` tries
-    that. The parent's coloring is kept as one color byte per edge, in
-    `g.edges()` order, and only below n_max. When the parent has none or
-    the walk gives up, `find_edge_coloring` answers, so every "no", and
-    with it every Class 2 verdict, comes from the exhaustive search or its
+    vertex n - 1 (`enumerate_mask_graphs`), so `walk_then_search` colors it
+    from the parent's Delta-coloring, kept as one color byte per edge in
+    `g.edges()` order and only below n_max, or from the empty coloring when
+    the parent is Class 2. One generator serves the whole pass, and every
+    "no", so every Class 2 verdict, comes from the exhaustive search or its
     edge count."""
     _check_enumeration_budget(n_max)
     if n_max not in _CRITICAL_CACHE:
@@ -106,24 +105,17 @@ def _corpus_pass(n_max: int) -> tuple[tuple[Graph, ...], VerificationReport]:
         rng = random.Random(0)
 
         def parity_reports():
-            colors = {(): b""}  # masks -> color bytes, one order down
+            colors = {}  # masks -> color bytes, one order down
             for n in range(1, n_max + 1):
                 below, colors, new = colors, {}, n - 1
                 for masks in enumerate_mask_graphs(n):
                     g = Graph.from_masks(masks)
                     edges = g.edges()
                     if not edges:
-                        colors[masks] = b""
                         continue
-                    delta = g.max_degree()
-                    parent = below.get(tuple(m & ~(1 << new) for m in masks[:-1]))
-                    col = None
-                    if parent is not None:
-                        assign = dict(zip([e for e in edges if e[1] != new], parent))
-                        queue = [e for e in edges if e[1] == new]
-                        col = kempe_walk(g, delta, assign, queue, rng, 8 * delta)
-                    if col is None:
-                        col = find_edge_coloring(g, delta)
+                    parent = below.get(tuple(m & ~(1 << new) for m in masks[:-1]), b"")
+                    assign = dict(zip([e for e in edges if e[1] != new], parent))
+                    col = walk_then_search(g, g.max_degree(), rng, assign)
                     if col is not None:
                         if n < n_max:
                             colors[masks] = col.color_bytes(edges)

@@ -23,6 +23,7 @@ from kempe.classify import (
     is_critical_edge,
     is_delta_critical,
     vizing_plus_one_coloring,
+    walk_then_search,
 )
 from kempe.graph import (
     Graph,
@@ -174,6 +175,44 @@ def test_delta_critical(pstar, splitk4, k4):
     assert is_delta_critical(pstar)
     assert is_delta_critical(splitk4)
     assert not is_delta_critical(k4)
+
+
+def yes_no_answers(g: Graph) -> tuple:
+    """What the classifier says about g: its chromatic index and class and,
+    for a Class 2 graph, whether all its edges are critical and which
+    edges are."""
+    cls = classify(g)
+    if cls is GraphClass.CLASS1:
+        return exact_chromatic_index(g), cls
+    flags = tuple(is_critical_edge(g, e) for e in g.edges())
+    return exact_chromatic_index(g), cls, all_edges_critical(g), flags
+
+
+def test_the_walk_only_answers_yes(monkeypatch):
+    """Every yes/no answer of the classifier is the same when no walk
+    succeeds, on every graph with n <= 6, P* and the Petersen graph; and
+    `walk_then_search` returns a full proper coloring, or None exactly
+    where the solver finds none, also for each g - e at k = Delta(g)."""
+    graphs = [*graphs_upto(6), builtin_fixture("pstar"), builtin_fixture("petersen")]
+    rng = random.Random(0)
+    for g in graphs:
+        delta = g.max_degree()
+        for h in [g, *(g.without_edge(e) for e in g.edges())]:
+            col = walk_then_search(h, delta, rng)
+            if col is None:
+                assert find_edge_coloring(h, delta) is None, h.edges()
+            else:
+                assert col.is_full() and col.validate(), h.edges()
+    answers = [yes_no_answers(g) for g in graphs]
+    # both classes, and both answers for all edges and for single edges
+    class2 = [a for a in answers if a[1] is GraphClass.CLASS2]
+    assert len(class2) < len(answers)
+    assert {a[2] for a in class2} == {True, False}
+    assert {flag for a in class2 for flag in a[3]} == {True, False}
+    walks = []
+    monkeypatch.setattr(classifier, "kempe_walk", lambda *args: walks.append(args))
+    assert [yes_no_answers(g) for g in graphs] == answers
+    assert walks
 
 
 def test_orbit_reduced_criticality_matches_every_edge():

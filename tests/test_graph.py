@@ -10,6 +10,7 @@ from kempe.graph import (
     Graph,
     InvalidSplitError,
     SplitSpec,
+    bit_positions,
     builtin_fixture,
     complete_graph,
     cycle_graph,
@@ -41,6 +42,16 @@ def test_edges_do_not_depend_on_build_order():
     for name in ("petersen", "pstar"):
         g = builtin_fixture(name)
         assert g.edges() == sorted(g.edges())
+
+
+def test_bit_positions():
+    assert bit_positions(0) == ()
+    assert bit_positions(0b101001) == (0, 3, 5)
+    assert bit_positions(1 << 70) == (70,)
+    # a negative int has infinitely many set bits
+    for mask in (-1, -6, -(1 << 70)):
+        with pytest.raises(ValueError, match="non-negative"):
+            bit_positions(mask)
 
 
 def test_from_masks_inverts_adjacency_masks():

@@ -241,16 +241,15 @@ def test_parity_sweep():
 def test_parity_sweep_reuses_corpus_pass(monkeypatch):
     monkeypatch.setattr(harness, "_CRITICAL_CACHE", {})
     calls = []
-    solve = harness.find_edge_coloring
+    solve = classifier.find_edge_coloring
 
     def counting(*args, **kwargs):
         col = solve(*args, **kwargs)
         calls.append((args, col is None))
         return col
 
-    # the harness binds the solver by name, and so does the classifier
-    for module in (harness, classifier):
-        monkeypatch.setattr(module, "find_edge_coloring", counting)
+    # the harness reaches the solver only through the classifier
+    monkeypatch.setattr(classifier, "find_edge_coloring", counting)
     delta_critical_corpus(5)
     assert calls
     # a refuted graph is not solved again to learn that it is Class 2
@@ -269,37 +268,56 @@ def test_corpus_pass_without_the_walk_is_unchanged(monkeypatch):
     monkeypatch.setattr(harness, "_CRITICAL_CACHE", {})
     walked = harness._corpus_pass(7)
     monkeypatch.setattr(harness, "_CRITICAL_CACHE", {})
-    monkeypatch.setattr(harness, "kempe_walk", lambda *args: None)
+    walks = []
+    monkeypatch.setattr(classifier, "kempe_walk", lambda *args: walks.append(args))
     assert harness._corpus_pass(7) == walked
+    assert walks
     assert len(walked[0]) == 26
 
 
 def test_every_class2_verdict_is_a_refutation(monkeypatch):
     """The walk can only answer yes: the pass's Class 2 verdicts, its
     graphs with edges less its parity-checked colorings, are exactly the
-    solver's refutations in the pass."""
+    solver's refutations in the pass. Each graph with edges is walked once,
+    and the solver is called only after a walk gives up. Criticality goes
+    through the same routine, so its calls are counted apart."""
     monkeypatch.setattr(harness, "_CRITICAL_CACHE", {})
-    walks, refuted = [], []
-    walk, solve = harness.kempe_walk, harness.find_edge_coloring
+    walk, solve = classifier.kempe_walk, classifier.find_edge_coloring
+    critical_edges = harness.all_edges_critical
+    calls = {"pass": ([], []), "criticality": ([], [])}
+    stage = ["pass"]
 
     def walking(*args):
         col = walk(*args)
-        walks.append(col is not None)
+        calls[stage[0]][0].append(col is not None)
         return col
 
     def solving(g, k):
         col = solve(g, k)
-        refuted.append(col is None)
+        calls[stage[0]][1].append(col is None)
         return col
 
-    monkeypatch.setattr(harness, "kempe_walk", walking)
-    monkeypatch.setattr(harness, "find_edge_coloring", solving)
+    def criticality(g):
+        stage[0] = "criticality"
+        try:
+            return critical_edges(g)
+        finally:
+            stage[0] = "pass"
+
+    monkeypatch.setattr(classifier, "kempe_walk", walking)
+    monkeypatch.setattr(classifier, "find_edge_coloring", solving)
+    monkeypatch.setattr(harness, "all_edges_critical", criticality)
     _, parity = harness._corpus_pass(7)
+    walks, refuted = calls["pass"]
     with_edges = sum(1 for n in range(1, 8) for masks in enumerate_mask_graphs(n) if any(masks))
     assert with_edges - parity.hypothesis_met == sum(refuted) > 0
+    assert len(walks) == with_edges
+    assert len(refuted) == walks.count(False)
     # most graphs are colored by the walk, and the solver answers the rest
     assert True in walks and False in walks
     assert len(refuted) < len(walks) // 4
+    # criticality walks each g - e it tries, and the solver answers some
+    assert calls["criticality"][0] and calls["criticality"][1]
 
 
 def test_mining_vacuous_on_small_corpus(critical_corpus_small):

@@ -86,6 +86,73 @@ def test_a_foreign_private_read_is_found(tmp_path: Path):
     }
 
 
+def walk_and_solver_references(package: Path) -> set[tuple[str, str, str]]:
+    """(module, top-level definition, name) for each reference to
+    `kempe_walk` or `find_edge_coloring` in the package, read as in
+    `unreferenced_public_names`; code outside a definition has owner ""."""
+    found = set()
+    for path in sorted(package.glob("*.py")):
+        for top in ast.parse(path.read_text()).body:
+            owner = getattr(top, "name", "")
+            for node in ast.walk(top):
+                if isinstance(node, ast.Name):
+                    name = node.id
+                elif isinstance(node, ast.Attribute):
+                    name = node.attr
+                else:
+                    continue
+                if name in ("kempe_walk", "find_edge_coloring"):
+                    found.add((path.name, owner, name))
+    return found
+
+
+def stray_walks(package: Path) -> set[tuple[str, str, str]]:
+    """The references that bypass `classify.walk_then_search`: to
+    `kempe_walk` outside coloring.py and that routine, and to either name
+    in harness.py."""
+    return {
+        (module, owner, name)
+        for module, owner, name in walk_and_solver_references(package)
+        if module == "harness.py"
+        or (
+            name == "kempe_walk"
+            and module != "coloring.py"
+            and (module, owner) != ("classify.py", "walk_then_search")
+        )
+    }
+
+
+def test_one_routine_walks_then_searches():
+    """Every yes/no colorability question goes through one routine: it
+    alone calls the walk, and the harness calls neither the walk nor the
+    solver."""
+    package = Path(kempe.__file__).parent
+    assert stray_walks(package) == set()
+    walks = {
+        (module, owner)
+        for module, owner, name in walk_and_solver_references(package)
+        if name == "kempe_walk"
+    }
+    assert walks == {("classify.py", "walk_then_search")}
+
+
+def test_a_stray_walk_is_found(tmp_path: Path):
+    (tmp_path / "classify.py").write_text(
+        "def walk_then_search(g, k, rng):\n"
+        "    return kempe_walk(g, k, {}, [], rng, 0) or find_edge_coloring(g, k)\n\n\n"
+        "def is_critical_edge(g, e):\n    return coloring.kempe_walk(g, 3)\n"
+    )
+    (tmp_path / "harness.py").write_text(
+        '"""kempe_walk is documented here."""\n'
+        "from .classify import find_edge_coloring\n\n"
+        "SOLVE = find_edge_coloring\n"
+    )
+    assert stray_walks(tmp_path) == {
+        ("classify.py", "is_critical_edge", "kempe_walk"),
+        ("harness.py", "", "find_edge_coloring"),
+    }
+
+
 def test_no_unused_public_api():
     package = Path(kempe.__file__).parent
     assert unreferenced_public_names(package) == set(KEPT)
