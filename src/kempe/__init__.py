@@ -4,13 +4,10 @@ chromatic-index analysis of simple graphs at desk scale."""
 from .graph import (
     Graph,
     Graph6Error,
-    Multigraph,
     SplitSpec,
     builtin_fixture,
-    distance_to_set,
     from_graph6,
     full_deficiency_pairs,
-    identify_pair,
     is_overfull,
     split_vertex,
     to_graph6,
@@ -41,13 +38,10 @@ __version__ = "0.1.0"
 __all__ = [
     "Graph",
     "Graph6Error",
-    "Multigraph",
     "SplitSpec",
     "builtin_fixture",
-    "distance_to_set",
     "from_graph6",
     "full_deficiency_pairs",
-    "identify_pair",
     "is_overfull",
     "split_vertex",
     "to_graph6",

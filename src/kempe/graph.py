@@ -6,8 +6,7 @@ Graphs are immutable; mutating operations return new Graph values.
 
 from __future__ import annotations
 
-import math
-from collections import Counter, deque
+from collections import deque
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import Iterable
@@ -156,65 +155,6 @@ class Graph:
         return f"Graph(n={self.n}, m={self.edge_count()})"
 
 
-class Multigraph:
-    """Minimal multigraph value: a multiset of loop-free edges.
-
-    Produced by identifying adjacent vertex pairs; supports degree queries
-    and proper-coloring verification but no coloring algorithms.
-    """
-
-    __slots__ = ("n", "edge_multiset")
-
-    def __init__(self, n: int, edges: Iterable[tuple[int, int]]):
-        self.n = n
-        self.edge_multiset: Counter[Edge] = Counter()
-        for u, v in edges:
-            u, v = edge_key(u, v)
-            if not (0 <= u < n and 0 <= v < n):
-                raise ValueError(f"edge ({u},{v}) out of range for n={n}")
-            self.edge_multiset[(u, v)] += 1
-
-    def edges(self) -> list[Edge]:
-        """All edges with multiplicity, sorted."""
-        return sorted(self.edge_multiset.elements())
-
-    def edge_count(self) -> int:
-        return sum(self.edge_multiset.values())
-
-    def degree(self, v: int) -> int:
-        d = 0
-        for (a, b), m in self.edge_multiset.items():
-            if a == v:
-                d += m
-            if b == v:
-                d += m
-        return d
-
-    def degrees(self) -> tuple[int, ...]:
-        ds = [0] * self.n
-        for (a, b), m in self.edge_multiset.items():
-            ds[a] += m
-            ds[b] += m
-        return tuple(ds)
-
-    def max_degree(self) -> int:
-        return max(self.degrees(), default=0)
-
-    def is_regular(self) -> bool:
-        ds = self.degrees()
-        return len(set(ds)) <= 1
-
-    def __eq__(self, other: object) -> bool:
-        return (
-            isinstance(other, Multigraph)
-            and self.n == other.n
-            and self.edge_multiset == other.edge_multiset
-        )
-
-    def __repr__(self) -> str:
-        return f"Multigraph(n={self.n}, m={self.edge_count()})"
-
-
 @dataclass(frozen=True)
 class SplitSpec:
     """A vertex split: `vertex` is replaced by two adjacent vertices, with
@@ -350,29 +290,6 @@ def split_vertex(g: Graph, spec: SplitSpec) -> Graph:
     return Graph(g.n + 1, edges)
 
 
-def identify_pair(g: Graph, a: int, b: int) -> Multigraph:
-    """Merge adjacent vertices a and b, deleting the edge between them.
-
-    Inverse of split_vertex up to isomorphism. The merged vertex takes
-    index min(a, b); vertices above max(a, b) shift down by one. Parallel
-    edges appear whenever a and b share a neighbor.
-    """
-    if not g.has_edge(a, b):
-        raise ValueError(f"vertices {a} and {b} are not adjacent")
-    vmap = identification_map(g, a, b)
-    ab = edge_key(a, b)
-    edges = [(vmap[u], vmap[v]) for u, v in g.edges() if (u, v) != ab]
-    return Multigraph(g.n - 1, edges)
-
-
-def identification_map(g: Graph, a: int, b: int) -> dict[int, int]:
-    """The vertex relabeling used by identify_pair."""
-    lo, hi = min(a, b), max(a, b)
-    return {
-        v: (lo if v == hi else (v - 1 if v > hi else v)) for v in range(g.n)
-    }
-
-
 def full_deficiency_pairs(g: Graph) -> list[tuple[int, int]]:
     """All adjacent pairs (u, v), u < v, with d(u) + d(v) = Delta + 2."""
     target = g.max_degree() + 2
@@ -392,26 +309,6 @@ def near_full_vertices(g: Graph, a: int, b: int) -> list[int]:
     """The vertices outside the pair {a, b} with degree Delta - 1."""
     target = g.max_degree() - 1
     return [x for x in range(g.n) if x not in (a, b) and g.degree(x) == target]
-
-
-def distance_to_set(g: Graph, u: int, targets: set[int] | frozenset[int]) -> float:
-    """Shortest-path distance from u to the nearest vertex of a non-empty
-    target set; math.inf when unreachable."""
-    if not targets:
-        raise ValueError("target set must be non-empty")
-    if u in targets:
-        return 0
-    dist = {u: 0}
-    queue = deque([u])
-    while queue:
-        v = queue.popleft()
-        for w in g.neighbors(v):
-            if w not in dist:
-                dist[w] = dist[v] + 1
-                if w in targets:
-                    return dist[w]
-                queue.append(w)
-    return math.inf
 
 
 # ---------------------------------------------------------------------------

@@ -25,12 +25,9 @@ from .classify import (
 from .coloring import PartialEdgeColoring
 from .graph import (
     Graph,
-    Multigraph,
     SplitSpec,
     complete_graph,
     full_deficiency_pairs,
-    identification_map,
-    identify_pair,
     is_overfull,
     meets_degree_bound,
     near_full_vertices,
@@ -232,25 +229,15 @@ def verify_theorem1(host: PartialEdgeColoring) -> VerificationReport:
     return passing(check, met=splits, splits=splits)
 
 
-def _merged_coloring_is_proper(
-    mg: Multigraph, colored: list[tuple[tuple[int, int], int]]
-) -> bool:
-    if len(colored) != mg.edge_count():
-        return False
-    seen: dict[int, set[int]] = {}
-    for (u, v), c in colored:
-        for w in (u, v):
-            if c in seen.setdefault(w, set()):
-                return False
-            seen[w].add(c)
-    return True
-
-
 def verify_theorem2_entry(g: Graph) -> VerificationReport:
-    """One Delta-critical graph: with a full-deficiency pair and
-    Delta >= 3(n-1)/4 it must be overfull, and identifying the pair must
-    turn a coloring of G minus the pair edge into a proper Delta-coloring
-    of a Delta-regular multigraph."""
+    """One Delta-critical graph: with a full-deficiency pair (a, b) and
+    Delta >= 3(n-1)/4 it must be overfull, and identifying a and b must
+    turn a Delta-coloring of G - ab into a proper Delta-coloring of a
+    Delta-regular multigraph. The merged vertex has degree d(a) + d(b) - 2
+    = Delta and the other vertices keep their degrees and proper colors,
+    so that holds exactly when every other vertex has degree Delta and a
+    and b share no color. Neither clause can fail once G is overfull; both
+    stay as the paper states them."""
     check = "theorem-full-deficiency-overfull"
     delta = g.max_degree()
     pairs = full_deficiency_pairs(g)
@@ -258,16 +245,12 @@ def verify_theorem2_entry(g: Graph) -> VerificationReport:
         return vacuous(check, reason="hypothesis-unmet")
     if not is_overfull(g):
         return failing(check, g, clause="overfull")
+    all_colors = (1 << delta) - 1
     for a, b in pairs:
         col = delta_coloring_of_minus_e(g, (a, b))
-        mg = identify_pair(g, a, b)
-        vmap = identification_map(g, a, b)
-        colored = [
-            ((vmap[u], vmap[v]), c) for (u, v), c in sorted(col.colored_edges().items())
-        ]
-        if not mg.is_regular() or mg.max_degree() != delta:
+        if any(g.degree(x) != delta for x in range(g.n) if x not in (a, b)):
             return failing(check, g, clause="merged-regularity", pair=[a, b])
-        if not _merged_coloring_is_proper(mg, colored):
+        if col.missing_mask(a) | col.missing_mask(b) != all_colors:
             return failing(check, g, clause="merged-coloring", pair=[a, b])
     return passing(check, pairs=len(pairs))
 

@@ -11,9 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .coloring import PartialEdgeColoring
-from .graph import (
-    Graph, distance_to_set, edge_key, meets_degree_bound, near_full_vertices,
-)
+from .graph import Graph, edge_key, meets_degree_bound, near_full_vertices
 from .report import VerificationReport, failing, passing, vacuous
 
 
@@ -678,14 +676,12 @@ def check_fulldpair_lemma(g: Graph, a: int, b: int) -> VerificationReport:
             return fail("joint-neighborhood-degree", x=x, degree=g.degree(x))
 
     both_deficient = g.degree(a) < delta and g.degree(b) < delta
-    for x in range(g.n):
-        if x in (a, b):
-            continue
-        if distance_to_set(g, x, {a, b}) == 2:
-            if g.degree(x) < delta - 1:
-                return fail("distance2-degree", x=x, degree=g.degree(x))
-            if both_deficient and g.degree(x) != delta:
-                return fail("distance2-degree-strict", x=x, degree=g.degree(x))
+    ring = set().union(*map(g.neighbors, joint)) - joint - {a, b}
+    for x in sorted(ring):
+        if g.degree(x) < delta - 1:
+            return fail("distance2-degree", x=x, degree=g.degree(x))
+        if both_deficient and g.degree(x) != delta:
+            return fail("distance2-degree-strict", x=x, degree=g.degree(x))
 
     bound = g.n - len(g.neighbors(a) | g.neighbors(b))
     for x in range(g.n):

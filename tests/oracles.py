@@ -9,7 +9,9 @@ sweep's one pass per color class. The reference solver wrappers rebuild
 each colouring the long way: a validated relabelled `Graph`, one checked
 `color_edge` per edge, `validate()`, and an edge-by-edge copy onto G; the
 search itself is checked against a plain recursion over the edges, and
-its vertex ranking against the plain scan it replaced.
+its vertex ranking against the plain scan it replaced. The pair
+identification of the full-deficiency theorem is rebuilt as a networkx
+contraction.
 """
 
 from __future__ import annotations
@@ -17,6 +19,8 @@ from __future__ import annotations
 import random
 from itertools import combinations, permutations
 from math import factorial
+
+import networkx as nx
 
 from kempe.classify import _search
 from kempe.coloring import PartialEdgeColoring
@@ -221,3 +225,20 @@ def reference_degeneracy_rank(n, edges):
             if w in alive:
                 deg[w] -= 1
     return rank
+
+
+def identified_pair_is_regular_and_proper(col, a, b):
+    """Identify a and b in G - ab the long way: a networkx `MultiGraph` of
+    the colored edges of `col` (every edge of G but ab), each carrying its
+    color, with b contracted into a. Returns (the multigraph is
+    Delta-regular, no color repeats at any of its vertices)."""
+    mg = nx.MultiGraph()
+    mg.add_nodes_from(range(col.graph.n))
+    for (u, v), c in col.colored_edges().items():
+        mg.add_edge(u, v, color=c)
+    merged = nx.contracted_nodes(mg, a, b, self_loops=False)
+    delta = col.graph.max_degree()
+    regular = all(d == delta for _, d in merged.degree())
+    colors_at = {v: [c for _, _, c in merged.edges(v, data="color")] for v in merged}
+    proper = all(len(cs) == len(set(cs)) for cs in colors_at.values())
+    return regular, proper

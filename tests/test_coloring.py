@@ -20,7 +20,7 @@ from kempe.coloring import (
     kempe_walk,
     parse_coloring,
 )
-from kempe.graph import Graph, builtin_fixture, cycle_graph, identify_pair
+from kempe.graph import Graph, builtin_fixture, cycle_graph
 from kempe.harness import enumerate_graphs, round_robin_one_factorization
 
 
@@ -268,8 +268,6 @@ def test_out_of_range_pair_is_not_an_edge():
         PartialEdgeColoring(g, 2).color_edge((-1, 1), 1)
     with pytest.raises(ColoringError, match="not in graph"):
         parse_coloring(g, "k=2 uncolored=0\n-1 1 1\n1 2 -\n")
-    with pytest.raises(ValueError, match="not adjacent"):
-        identify_pair(g, -1, 1)
 
 
 def test_validate_detects_corruption():

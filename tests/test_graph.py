@@ -1,7 +1,5 @@
 from __future__ import annotations
 
-import math
-
 import networkx as nx
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -14,10 +12,7 @@ from kempe.graph import (
     builtin_fixture,
     complete_graph,
     cycle_graph,
-    distance_to_set,
     full_deficiency_pairs,
-    identification_map,
-    identify_pair,
     is_overfull,
     split_vertex,
 )
@@ -131,32 +126,31 @@ def test_split_invalid_parts(k4):
         split_vertex(k4, SplitSpec(0, frozenset({1, 2, 3})))
 
 
+def contract_split(h: Graph, v: int, copy: int) -> nx.MultiGraph:
+    """`h` as a networkx multigraph with `copy` contracted into `v` and the
+    edge between them dropped: a neighbor joined to both copies would show
+    as a parallel edge."""
+    mg = nx.MultiGraph()
+    mg.add_nodes_from(range(h.n))
+    mg.add_edges_from(h.edges())
+    return nx.contracted_nodes(mg, v, copy, self_loops=False)
+
+
+def multigraph_edges(mg: nx.MultiGraph) -> list[tuple[int, int]]:
+    return sorted((min(u, v), max(u, v)) for u, v in mg.edges())
+
+
 def test_identify_inverts_split(splitk4, k4):
-    mg = identify_pair(splitk4, 0, 4)
-    assert mg.n == 4
-    assert sorted(mg.degrees()) == [3, 3, 3, 3]
-    assert all(m == 1 for m in mg.edge_multiset.values())
-    G = nx.Graph(mg.edges())
-    H = nx.Graph(k4.edges())
-    assert nx.is_isomorphic(G, H)
-
-
-def test_identify_triangle_gives_double_edge(triangle):
-    mg = identify_pair(triangle, 0, 1)
-    assert mg.n == 2
-    assert mg.edge_multiset == {(0, 1): 2}
-
-
-def test_identify_merged_degree(pstar):
-    for u, v in pstar.edges():
-        mg = identify_pair(pstar, u, v)
-        vmap = identification_map(pstar, u, v)
-        assert mg.degree(vmap[u]) == pstar.degree(u) + pstar.degree(v) - 2
+    merged = contract_split(splitk4, 0, 4)
+    assert sorted(merged.nodes) == list(range(4))
+    assert multigraph_edges(merged) == k4.edges()
 
 
 @given(st.data())
 @settings(max_examples=60, deadline=None)
 def test_split_then_identify_is_identity(data):
+    """The split vertex keeps its index and the new copy gets index n, so
+    contracting the copies restores g with its own labels."""
     n = data.draw(st.integers(4, 8))
     edges = data.draw(
         st.sets(
@@ -175,33 +169,15 @@ def test_split_then_identify_is_identity(data):
     s = data.draw(st.integers(1, len(nbrs) - 1))
     h = split_vertex(g, SplitSpec(v, frozenset(nbrs[:s])))
     assert h.n == g.n + 1 and h.edge_count() == g.edge_count() + 1
-    mg = identify_pair(h, v, g.n)
-    assert sorted(mg.degrees()) == sorted(g.degrees())
-    assert sorted(mg.edges()) == sorted(
-        nx_canonical_edges(g, mg)
-    )
-
-
-def nx_canonical_edges(g: Graph, mg) -> list[tuple[int, int]]:
-    """Edge multiset of g under the identity map (identify-after-split
-    restores the original labels because the split vertex keeps its index
-    and the new copy gets the last one)."""
-    return sorted(g.edges())
+    merged = contract_split(h, v, g.n)
+    assert sorted(merged.nodes) == list(range(g.n))
+    assert multigraph_edges(merged) == g.edges()
 
 
 def test_full_deficiency_pairs(triangle, splitk4, k4):
     assert full_deficiency_pairs(triangle) == [(0, 1), (0, 2), (1, 2)]
     assert full_deficiency_pairs(splitk4) == [(0, 1), (0, 4)]
     assert full_deficiency_pairs(k4) == []
-
-
-def test_distance_to_set(c5):
-    assert distance_to_set(c5, 0, {0}) == 0
-    assert distance_to_set(c5, 2, {0}) == 2
-    g = Graph(4, [(0, 1), (2, 3)])
-    assert distance_to_set(g, 0, {2, 3}) == math.inf
-    with pytest.raises(ValueError):
-        distance_to_set(c5, 0, set())
 
 
 def test_builtin_fixtures(pstar, k6, splitk4):

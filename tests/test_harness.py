@@ -24,7 +24,9 @@ from kempe.graph import (
     complete_graph,
     cycle_graph,
     edge_key,
+    full_deficiency_pairs,
     hypercube_graph,
+    to_graph6,
 )
 from kempe.harness import (
     SWEEP_CHECKS,
@@ -210,6 +212,86 @@ def test_theorem2_entries(triangle, splitk4, pstar):
     assert rep.passed and rep.fired
     rep = verify_theorem2_entry(pstar)  # degree bound unmet: vacuous
     assert rep.passed and not rep.fired
+
+
+def k4_minus_edge():
+    return Graph(4, [e for e in complete_graph(4).edges() if e != (0, 1)])
+
+
+def k6_minus_two_paths():
+    """K6 minus the paths 0-1-2 and 3-4-5: Delta = 4, every vertex but 1
+    and 4 has degree 4, and (1, 4) is its one full-deficiency pair. It has
+    11 < 4 * 3 edges, so it is not overfull."""
+    drop = {(0, 1), (1, 2), (3, 4), (4, 5)}
+    return Graph(6, [e for e in complete_graph(6).edges() if e not in drop])
+
+
+def test_theorem2_overfull_clause():
+    """K4 minus an edge meets the hypothesis (pairs such as (0, 2), and
+    4 * 3 >= 3 * 3) but has 5 <= 3 * 2 edges."""
+    g = k4_minus_edge()
+    rep = verify_theorem2_entry(g)
+    assert not rep.passed and rep.hypothesis_met == 1
+    assert rep.counterexample == {"graph6": to_graph6(g), "clause": "overfull"}
+
+
+def test_theorem2_merged_regularity_clause(monkeypatch):
+    """An overfull graph with a full-deficiency pair has every other vertex
+    at degree Delta, so the clause needs the overfull test bypassed: in K4
+    minus 01, vertex 1 keeps degree 2 when 0 and 2 are identified."""
+    monkeypatch.setattr(harness, "is_overfull", lambda g: True)
+    g = k4_minus_edge()
+    rep = verify_theorem2_entry(g)
+    assert not rep.passed
+    assert rep.counterexample == {
+        "graph6": to_graph6(g), "clause": "merged-regularity", "pair": [0, 2],
+    }
+
+
+def test_theorem2_merged_coloring_clause(monkeypatch):
+    """A coloring of G - ab that gives a and b a shared color leaves the
+    two ends of ab a common missing color, so G is Delta-colorable and not
+    overfull: the clause needs the overfull test bypassed."""
+    monkeypatch.setattr(harness, "is_overfull", lambda g: True)
+    g = k6_minus_two_paths()
+    col = delta_coloring_of_minus_e(g, (1, 4))
+    assert oracles.identified_pair_is_regular_and_proper(col, 1, 4) == (True, False)
+    rep = verify_theorem2_entry(g)
+    assert not rep.passed
+    assert rep.counterexample == {
+        "graph6": to_graph6(g), "clause": "merged-coloring", "pair": [1, 4],
+    }
+
+
+def test_theorem2_identification_matches_networkx(monkeypatch):
+    """For every full-deficiency pair of every critical graph on at most 7
+    vertices and of every graph on at most 6 whose G - ab is
+    Delta-colorable, the entry passes exactly when the networkx contraction
+    of a and b is Delta-regular and properly colored, and otherwise names
+    the clause that fails. Each pair is checked on its own, past the
+    overfull test and the degree bound."""
+    monkeypatch.setattr(harness, "is_overfull", lambda g: True)
+    monkeypatch.setattr(harness, "meets_degree_bound", lambda delta, n: True)
+    hosts = list(delta_critical_corpus(7))
+    hosts += [g for n in range(3, 7) for g in enumerate_graphs(n)]
+    outcomes = set()
+    for g in hosts:
+        for pair in full_deficiency_pairs(g):
+            try:
+                col = delta_coloring_of_minus_e(g, pair)
+            except ValueError:
+                continue
+            monkeypatch.setattr(harness, "full_deficiency_pairs", lambda g: [pair])
+            rep = verify_theorem2_entry(g)
+            regular, proper = oracles.identified_pair_is_regular_and_proper(col, *pair)
+            if regular and proper:
+                assert rep.passed, (to_graph6(g), pair)
+                clause = None
+            else:
+                clause = "merged-regularity" if not regular else "merged-coloring"
+                assert rep.counterexample["clause"] == clause, (to_graph6(g), pair)
+            outcomes.add(clause)
+    assert outcomes == {None, "merged-regularity", "merged-coloring"}
 
 
 def test_corollary_entry(splitk4):

@@ -7,6 +7,7 @@ from __future__ import annotations
 
 import ast
 import importlib.util
+import types
 from pathlib import Path
 
 import kempe
@@ -156,6 +157,21 @@ def test_a_stray_walk_is_found(tmp_path: Path):
 def test_no_unused_public_api():
     package = Path(kempe.__file__).parent
     assert unreferenced_public_names(package) == set(KEPT)
+
+
+def test_all_names_the_package_bindings():
+    """`kempe.__all__` lists each name once, every name it lists is bound,
+    and every public binding of the package other than a submodule is
+    listed."""
+    listed = kempe.__all__
+    assert len(listed) == len(set(listed))
+    assert [name for name in listed if not hasattr(kempe, name)] == []
+    public = {
+        name
+        for name, value in vars(kempe).items()
+        if not name.startswith("_") and not isinstance(value, types.ModuleType)
+    }
+    assert public == set(listed)
 
 
 def test_an_unused_function_is_found(tmp_path: Path):

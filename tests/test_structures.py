@@ -13,7 +13,10 @@ import kempe.classify
 import kempe.structures
 from kempe.classify import delta_coloring_of_minus_e, find_edge_coloring
 from kempe.coloring import PartialEdgeColoring
-from kempe.graph import Graph, builtin_fixture, cycle_graph
+from kempe.graph import (
+    Graph, builtin_fixture, cycle_graph, full_deficiency_pairs, to_graph6,
+)
+from kempe.harness import enumerate_graphs
 from kempe.structures import (
     AmbiguityError,
     KiersteadPath,
@@ -719,3 +722,88 @@ def test_structures_imports_no_solver():
 def test_fulldpair_hypothesis_unmet(k4):
     rep = check_fulldpair_lemma(k4, 0, 1)
     assert rep.passed and rep.vacuous == 1
+
+
+def assert_fulldpair_fails(g, pair, clause, **evidence):
+    rep = check_fulldpair_lemma(g, *pair)
+    assert not rep.passed and rep.hypothesis_met == 1
+    assert rep.counterexample == {
+        "graph6": to_graph6(g), "clause": clause, "pair": list(pair), **evidence,
+    }
+
+
+def test_fulldpair_distance2_degree():
+    """K4 minus 01 on {0, 1, 3, 4} with a pendant vertex 2 on 0: the pair
+    (1, 3) has joint neighborhood {0, 4} of degree Delta = 3, and 2, at
+    distance 2, has degree 1 < Delta - 1."""
+    g = Graph(5, [(0, 2), (0, 3), (0, 4), (1, 3), (1, 4), (3, 4)])
+    assert_fulldpair_fails(g, (1, 3), "distance2-degree", x=2, degree=1)
+
+
+def test_fulldpair_distance2_degree_strict():
+    """K4 on {0, 2, 4, 5}, a vertex 1 joined to 4 and 5 and a pendant 3 on
+    1: Delta = 4, both ends of the pair (0, 2) have degree 3, so 1, at
+    distance 2 with degree Delta - 1, breaks the strict bound."""
+    g = Graph(6, [(0, 2), (0, 4), (0, 5), (1, 3), (1, 4), (1, 5), (2, 4), (2, 5), (4, 5)])
+    assert_fulldpair_fails(g, (0, 2), "distance2-degree-strict", x=1, degree=3)
+
+
+class OverstatedDegree(Graph):
+    """A graph whose `degree` reports `claimed` for one vertex. A vertex x
+    outside {a, b} at distance 3 or more from them has its neighbors among
+    the other n - |N(a) u N(b)| - 1 vertices, so d(x) is below the
+    high-degree clauses' threshold: on a simple graph only vertices that
+    the joint and distance-2 clauses already bounded reach them."""
+
+    __slots__ = ("vertex", "claimed")
+
+    def __init__(self, n, edges, vertex, claimed):
+        super().__init__(n, edges)
+        self.vertex, self.claimed = vertex, claimed
+
+    def degree(self, v):
+        return self.claimed if v == self.vertex else super().degree(v)
+
+
+def test_fulldpair_high_degree_clause():
+    """splitk4 plus an isolated vertex 5 claimed at degree 1: the pair
+    (0, 1) leaves a threshold of 6 - 5 = 1, and 1 < Delta - 1 = 2."""
+    g = OverstatedDegree(6, builtin_fixture("splitk4").edges(), vertex=5, claimed=1)
+    assert_fulldpair_fails(g, (0, 1), "high-degree-clause", x=5, degree=1)
+
+
+def test_fulldpair_high_degree_clause_strict():
+    """K4 on {0, 1, 2, 3}, a vertex 4 joined to 2 and 3 and pendants 5 and
+    6 on 4, with 5 claimed at degree 3: Delta = 4, both ends of the pair
+    (0, 1) have degree 3, and the threshold is 7 - 4 = 3."""
+    edges = [(0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3), (2, 4), (3, 4), (4, 5), (4, 6)]
+    g = OverstatedDegree(7, edges, vertex=5, claimed=3)
+    assert_fulldpair_fails(g, (0, 1), "high-degree-clause-strict", x=5, degree=3)
+
+
+def test_fulldpair_high_degree_clauses_need_an_overstated_degree():
+    """No pair of a simple graph on at most 6 vertices reaches them."""
+    for n in range(3, 7):
+        for g in enumerate_graphs(n):
+            for a, b in full_deficiency_pairs(g):
+                rep = check_fulldpair_lemma(g, a, b)
+                clause = (rep.counterexample or {}).get("clause", "")
+                assert not clause.startswith("high-degree"), (to_graph6(g), a, b)
+
+
+def test_fulldpair_deficiency_pairing():
+    """A triangle on {0, 2, 3} and an isolated vertex 1, the one deficient
+    vertex outside the pair (0, 2)."""
+    g = Graph(4, [(0, 2), (0, 3), (2, 3)])
+    assert_fulldpair_fails(g, (0, 2), "deficiency-pairing", x=1)
+
+
+def test_fulldpair_near_delta_uniqueness():
+    """a = 0 of degree 2 on b = 1 and 2; 1 joined to 2..6, 2 to 3..6, a
+    4-cycle 3-4-5-6, and 7 and 8 joined to each other and to 3..6. Delta
+    = 6 and 4 * 6 >= 3 * 8, and both 7 and 8 have degree Delta - 1."""
+    edges = [(0, 1), (0, 2), (3, 4), (4, 5), (5, 6), (3, 6), (7, 8)]
+    edges += [(1, x) for x in range(2, 7)] + [(2, x) for x in range(3, 7)]
+    edges += [(v, x) for v in (7, 8) for x in range(3, 7)]
+    g = Graph(9, edges)
+    assert_fulldpair_fails(g, (0, 1), "near-delta-uniqueness", vertices=[7, 8])
