@@ -12,9 +12,12 @@ they carry work counts, never wall times.
 from __future__ import annotations
 
 import json
+import os
 import random
+import signal
 from dataclasses import dataclass
 from pathlib import Path
+from typing import BinaryIO
 
 from .classify import (
     all_edges_critical,
@@ -22,7 +25,7 @@ from .classify import (
     is_delta_critical,
     walk_then_search,
 )
-from .coloring import PartialEdgeColoring
+from .coloring import PartialEdgeColoring, parse_coloring
 from .graph import (
     Graph,
     SplitSpec,
@@ -370,6 +373,137 @@ def _orbit_class(key: bytes, actions: list[tuple[int, ...]]) -> bytes:
     return min(_renamed(bytes(map(key.__getitem__, action))) for action in actions)
 
 
+# folded reports of one corpus graph, and its mined 5-vertex paths
+_GraphResult = tuple[list[VerificationReport], list[K5Instance]]
+
+
+def _sweep_graph(g: Graph, seeds: int) -> _GraphResult:
+    """The sweep of one corpus graph: its reports, folded per check in
+    first-seen order, and its mined 5-vertex paths (see `lemma_sweep`).
+    The color classes live for this graph only."""
+    acc: dict[str, VerificationReport] = {}
+    k5_instances: list[K5Instance] = []
+    edges = g.edges()
+    for e in edges:
+        _accumulate(acc, check_val(g, e))
+    for a, b in full_deficiency_pairs(g):
+        _accumulate(acc, check_fulldpair_lemma(g, a, b))
+    actions = edge_actions(edges, automorphism_group(g.adjacency_masks()))
+    least_of: dict[bytes, bytes] = {}  # color class key -> least reading
+    reusable: dict[bytes, list[VerificationReport]] = {}  # least reading -> reports
+    for e in edges:
+        for seed in range(seeds):
+            col = delta_coloring_of_minus_e(g, e, seed=seed)
+            key = _color_class_key(col, edges)
+            if key not in least_of:
+                least_of[key] = _orbit_class(key, actions)
+            least = least_of[key]
+            if least in reusable:
+                reports, overlap3 = reusable[least], []
+            else:
+                reports, overlap3 = _coloring_reports(col, e)
+                if not overlap3:
+                    reusable[least] = reports
+            for rep in reports:
+                _accumulate(acc, rep)
+            k5_instances.extend((g, e, seed, kp, col) for kp in overlap3)
+    return list(acc.values()), k5_instances
+
+
+def _usable_cpus() -> int:
+    """The number of CPUs this process may run on, or 1 where the OS
+    does not say."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return 1
+
+
+def _share_message(corpus: tuple[Graph, ...], seeds: int, share: list[int]) -> dict:
+    """What a forked worker sends back for the graphs at the indices
+    `share`: {"graphs": [[index, report dicts, mined paths], ...]}, each
+    path as [edge, seed, path vertices, serialized coloring], or
+    {"graph6", "error"} for the first graph whose sweep raises."""
+    graphs = []
+    for i in share:
+        try:
+            reports, instances = _sweep_graph(corpus[i], seeds)
+        except Exception:
+            import traceback  # only a failing worker pays for the import
+
+            return {"graph6": to_graph6(corpus[i]), "error": traceback.format_exc()}
+        k5 = [
+            [e, seed, kp.vertices, col.serialize()] for _, e, seed, kp, col in instances
+        ]
+        graphs.append([i, [rep.to_dict() for rep in reports], k5])
+    return {"graphs": graphs}
+
+
+def _sweep_forked(
+    corpus: tuple[Graph, ...], seeds: int, jobs: int
+) -> list[_GraphResult]:
+    """`_sweep_graph` of each corpus graph, in corpus order, over `jobs`
+    processes. The graphs are dealt largest first (by edge count) to
+    `jobs` shares; this process sweeps share 0 and one forked child sweeps
+    each other share, writes its `_share_message` as JSON to a pipe and
+    ends with `os._exit`, so it never flushes this process's buffered
+    output or runs its exit handlers. A child that fails raises
+    `RuntimeError` with its graph6, and every child is killed and reaped
+    on every path out."""
+    order = sorted(range(len(corpus)), key=lambda i: -corpus[i].edge_count())
+    shares = [order[j::jobs] for j in range(jobs)]
+    results: list = [None] * len(corpus)  # index -> its _GraphResult
+    children: list[tuple[int, BinaryIO]] = []  # (pid, read end) of unreaped children
+    try:
+        for share in shares[1:]:
+            r, w = os.pipe()
+            pid = os.fork()
+            if pid == 0:
+                code = 1
+                try:
+                    os.close(r)
+                    message = _share_message(corpus, seeds, share)
+                    with open(w, "w") as out:
+                        out.write(json.dumps(message))
+                    code = 0 if "graphs" in message else 1
+                finally:
+                    os._exit(code)
+            os.close(w)
+            children.append((pid, open(r, "rb")))
+        for i in shares[0]:
+            results[i] = _sweep_graph(corpus[i], seeds)
+        while children:
+            pid, pipe = children[0]
+            data = pipe.read()
+            _, status = os.waitpid(pid, 0)
+            children.pop(0)
+            pipe.close()
+            try:
+                message = json.loads(data)
+            except ValueError:  # the child died before it finished writing
+                message = {}
+            if "error" in message:
+                raise RuntimeError(
+                    f"lemma sweep failed on {message['graph6']}:\n{message['error']}"
+                )
+            if status or "graphs" not in message:
+                raise RuntimeError(
+                    f"lemma sweep worker ended with wait status {status}"
+                )
+            for i, reports, k5 in message["graphs"]:
+                g = corpus[i]
+                paths = [
+                    (g, tuple(e), s, KiersteadPath(tuple(vs)), parse_coloring(g, text))
+                    for e, s, vs, text in k5
+                ]
+                results[i] = [VerificationReport(**rep) for rep in reports], paths
+    finally:
+        for pid, pipe in children:
+            os.kill(pid, signal.SIGKILL)
+            os.waitpid(pid, 0)
+            pipe.close()
+    return results
+
+
 def lemma_sweep(
     corpus: tuple[Graph, ...], seeds: int = 8
 ) -> tuple[list[VerificationReport], list[K5Instance]]:
@@ -388,34 +522,24 @@ def lemma_sweep(
     a check failing on a later member has already failed on the first, and
     the first counterexample is computed fresh. A class whose first member
     has such a path is checked in full on every member, so each member's
-    paths are found in its own labels."""
+    paths are found in its own labels.
+
+    The graphs are swept apart (`_sweep_graph`), on as many processes as
+    there are CPUs this process may use, up to one per graph, and folded
+    in corpus order. Merging reports is associative, so the result does
+    not depend on the number of CPUs. On more than one CPU it forks, so
+    call it from a process that runs no other thread."""
+    jobs = min(_usable_cpus(), len(corpus))
+    if jobs > 1:
+        per_graph = _sweep_forked(corpus, seeds, jobs)
+    else:
+        per_graph = (_sweep_graph(g, seeds) for g in corpus)
     acc: dict[str, VerificationReport] = {}
     k5_instances: list[K5Instance] = []
-    for g in corpus:
-        edges = g.edges()
-        for e in edges:
-            _accumulate(acc, check_val(g, e))
-        for a, b in full_deficiency_pairs(g):
-            _accumulate(acc, check_fulldpair_lemma(g, a, b))
-        actions = edge_actions(edges, automorphism_group(g.adjacency_masks()))
-        least_of: dict[bytes, bytes] = {}  # color class key -> least reading
-        reusable: dict[bytes, list[VerificationReport]] = {}  # least reading -> reports
-        for e in edges:
-            for seed in range(seeds):
-                col = delta_coloring_of_minus_e(g, e, seed=seed)
-                key = _color_class_key(col, edges)
-                if key not in least_of:
-                    least_of[key] = _orbit_class(key, actions)
-                least = least_of[key]
-                if least in reusable:
-                    reports, overlap3 = reusable[least], []
-                else:
-                    reports, overlap3 = _coloring_reports(col, e)
-                    if not overlap3:
-                        reusable[least] = reports
-                for rep in reports:
-                    _accumulate(acc, rep)
-                k5_instances.extend((g, e, seed, kp, col) for kp in overlap3)
+    for reports, instances in per_graph:
+        for rep in reports:
+            _accumulate(acc, rep)
+        k5_instances.extend(instances)
     for name in SWEEP_CHECKS:
         if name not in acc:
             acc[name] = vacuous(name, reason="no-instances-in-corpus")

@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import os
 import random
 import types
 from pathlib import Path
@@ -20,12 +21,14 @@ from kempe.classify import (
 from kempe.coloring import PartialEdgeColoring
 from kempe.graph import (
     Graph,
+    SplitSpec,
     builtin_fixture,
     complete_graph,
     cycle_graph,
     edge_key,
     full_deficiency_pairs,
     hypercube_graph,
+    split_vertex,
     to_graph6,
 )
 from kempe.harness import (
@@ -198,6 +201,23 @@ def test_theorem1_rejects_bad_inputs(monkeypatch):
     for host, message in bad_hosts:
         with pytest.raises(ValueError, match=message):
             verify_theorem1(host)
+
+
+def test_theorem1_fails_on_a_split_that_is_not_critical(monkeypatch):
+    """A split that is not Delta-critical fails the theorem, with the
+    split and the graph it gave; K4 has one split up to symmetry."""
+    k4 = complete_graph(4)
+    split = split_vertex(k4, SplitSpec(0, frozenset({1})))
+    monkeypatch.setattr(harness, "is_delta_critical", lambda h: h != split)
+    rep = verify_theorem1(round_robin_one_factorization(4))
+    assert not rep.passed
+    assert rep.hypothesis_met == 1
+    assert rep.counterexample == {
+        "graph6": to_graph6(k4),
+        "split_vertex": 0,
+        "part_one": [1],
+        "result_graph6": to_graph6(split),
+    }
 
 
 def test_theorem1_vacuous_below_degree_bound():
@@ -436,6 +456,7 @@ def test_lemma_suite_solves_each_coloring_once(monkeypatch):
         return solve(g, e, seed=seed, **kwargs)
 
     monkeypatch.setattr(harness, "delta_coloring_of_minus_e", recording)
+    use_cpus(monkeypatch, 1)  # a forked worker's calls would not be recorded
     result = run_suite(SuiteConfig(suite="lemmas", n_max=6, seeds=2))
     assert result.exit_code == 0
     assert seen
@@ -461,8 +482,16 @@ def relabelled(col: PartialEdgeColoring, gamma: tuple[int, ...]) -> PartialEdgeC
     return out
 
 
+def use_cpus(monkeypatch, jobs: int) -> None:
+    """Make the lemma sweep see `jobs` usable CPUs."""
+    monkeypatch.setattr(harness, "_usable_cpus", lambda: jobs)
+
+
 def record_checked(monkeypatch) -> list[PartialEdgeColoring]:
-    """Make the sweep's class checks record each coloring they run on."""
+    """Make the sweep's class checks record each coloring they run on. The
+    sweep is pinned to one process: a forked worker's calls are made in
+    its own memory and would not be recorded here."""
+    use_cpus(monkeypatch, 1)
     checked = []
     helper = harness._coloring_reports
 
@@ -578,6 +607,157 @@ def test_lemma_sweep_checks_each_color_class_once(monkeypatch):
     lemma_sweep(corpus, seeds=8)
     assert 8 * sum(g.edge_count() for g in corpus) == 2576
     assert len(checked) == 460
+
+
+def record_forks(monkeypatch) -> list[int]:
+    """Make `os.fork` record the pid of each child it starts."""
+    forks = []
+    fork = os.fork
+
+    def recording():
+        pid = fork()
+        if pid:
+            forks.append(pid)
+        return pid
+
+    monkeypatch.setattr(os, "fork", recording)
+    return forks
+
+
+def assert_no_child_left() -> None:
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+def test_usable_cpus(monkeypatch):
+    """The CPUs in this process's affinity set, or 1 where the OS keeps
+    none."""
+    if hasattr(os, "sched_getaffinity"):
+        assert harness._usable_cpus() == len(os.sched_getaffinity(0)) >= 1
+    monkeypatch.delattr(os, "sched_getaffinity", raising=False)
+    assert harness._usable_cpus() == 1
+
+
+@pytest.mark.parametrize("jobs", [2, 3])
+def test_forked_sweep_matches_one_process(monkeypatch, jobs):
+    """Sweeping the graphs over `jobs` processes gives the reports and the
+    mined paths of one process, whatever the number of CPUs."""
+    corpus = delta_critical_corpus(7)
+    use_cpus(monkeypatch, 1)
+    reports, instances = lemma_sweep(corpus, seeds=2)
+    use_cpus(monkeypatch, jobs)
+    forks = record_forks(monkeypatch)
+    forked_reports, forked_instances = lemma_sweep(corpus, seeds=2)
+    assert len(forks) == jobs - 1
+    assert [r.to_dict() for r in forked_reports] == [r.to_dict() for r in reports]
+    assert forked_instances == instances
+    assert_no_child_left()
+
+
+def test_forked_suite_writes_identical_reports(monkeypatch, tmp_path: Path):
+    for jobs in (1, 3):
+        use_cpus(monkeypatch, jobs)
+        write_reports(run_suite(SuiteConfig(n_max=7, seeds=2)), tmp_path / str(jobs))
+    names = sorted(p.name for p in (tmp_path / "1").iterdir())
+    assert names == sorted(p.name for p in (tmp_path / "3").iterdir())
+    for name in names:
+        assert (tmp_path / "1" / name).read_bytes() == (tmp_path / "3" / name).read_bytes()
+
+
+def test_forked_sweep_ships_mined_paths(monkeypatch):
+    """The planted host and two disjoint copies of it, each with the
+    overlap-3 path planted on every seed of its root edge: over two
+    processes the smaller graph goes to the forked worker, which ships its
+    mined paths back as text. They are rebuilt on the corpus graph itself
+    and match the reference sweep."""
+    planted, path = planted_class1_host()
+    g = planted.graph
+    pair = Graph(2 * g.n, g.edges() + [(u + g.n, v + g.n) for u, v in g.edges()])
+    doubled = PartialEdgeColoring(pair, planted.k)
+    for (u, v), c in planted.colored_edges().items():
+        doubled.color_edge((u, v), c)
+        doubled.color_edge((u + g.n, v + g.n), c)
+    doubled.color_edge((g.n, g.n + 1), 2)
+    solve = harness.delta_coloring_of_minus_e
+
+    def planted_first(h, e, seed=0):
+        if e == (0, 1):
+            return planted if h is g else doubled
+        return solve(h, e, seed=seed)
+
+    monkeypatch.setattr(harness, "delta_coloring_of_minus_e", planted_first)
+    use_cpus(monkeypatch, 2)
+    forks = record_forks(monkeypatch)
+    corpus = (g, pair)
+    reports, instances = lemma_sweep(corpus, seeds=2)
+    ref_reports, ref_instances = reference_lemma_sweep(corpus, 2, planted_first)
+    assert len(forks) == 1
+    assert [r.to_dict() for r in reports] == [r.to_dict() for r in ref_reports]
+    assert instances == ref_instances
+    shipped = [(e, seed, kp) for h, e, seed, kp, _ in instances if h is g]
+    assert shipped[:2] == [((0, 1), 0, path), ((0, 1), 1, path)]
+    rebuilt = [col for h, e, _, _, col in instances if h is g and e == (0, 1)]
+    assert rebuilt == [planted, planted]
+    assert all(col is not planted for col in rebuilt)
+    k5 = reports[SWEEP_CHECKS.index("kierstead5-degrees")]
+    assert k5.counterexample["coloring"] == planted.serialize()
+    assert_no_child_left()
+
+
+def fail_in(monkeypatch, in_parent: bool) -> None:
+    """Make the class checks raise in this process or in every forked
+    worker, naming the graph they were given."""
+    parent = os.getpid()
+    helper = harness._coloring_reports
+
+    def failing_here(col, e):
+        if (os.getpid() == parent) == in_parent:
+            raise ValueError(f"planted failure on {to_graph6(col.graph)}")
+        return helper(col, e)
+
+    monkeypatch.setattr(harness, "_coloring_reports", failing_here)
+
+
+def test_a_failing_worker_names_its_graph(monkeypatch):
+    corpus = delta_critical_corpus(7)
+    fail_in(monkeypatch, in_parent=False)
+    use_cpus(monkeypatch, 2)
+    with pytest.raises(RuntimeError, match="lemma sweep failed on") as info:
+        lemma_sweep(corpus, seeds=2)
+    graph6 = str(info.value).split()[4].rstrip(":")
+    assert graph6 in {to_graph6(g) for g in corpus}
+    assert f"planted failure on {graph6}" in str(info.value)
+    assert_no_child_left()
+
+
+def test_a_failing_parent_share_stops_every_worker(monkeypatch):
+    fail_in(monkeypatch, in_parent=True)
+    use_cpus(monkeypatch, 3)
+    forks = record_forks(monkeypatch)
+    with pytest.raises(ValueError, match="planted failure on"):
+        lemma_sweep(delta_critical_corpus(7), seeds=2)
+    assert len(forks) == 2
+    assert_no_child_left()
+
+
+def test_a_worker_that_dies_silently_is_an_error(monkeypatch):
+    """A worker that ends without a message, as one killed would, fails
+    the sweep with its wait status."""
+    monkeypatch.setattr(harness, "_share_message", lambda *args: os._exit(3))
+    use_cpus(monkeypatch, 2)
+    with pytest.raises(RuntimeError, match="worker ended with wait status 768"):
+        lemma_sweep(delta_critical_corpus(7), seeds=2)
+    assert_no_child_left()
+
+
+def test_one_cpu_forks_nothing(monkeypatch, critical_corpus_small):
+    def no_fork():
+        raise AssertionError("the sweep forked on one CPU")
+
+    monkeypatch.setattr(os, "fork", no_fork)
+    use_cpus(monkeypatch, 1)
+    reports, _ = lemma_sweep(critical_corpus_small, seeds=2)
+    assert all(rep.passed for rep in reports)
 
 
 def test_coloring_checks_ignore_color_names():

@@ -14,7 +14,6 @@ import kempe
 
 # name -> why it stays without a library caller
 KEPT = {
-    "parse_coloring": "reads back the colorings in counterexample records",
     "masks_isomorphic": "a benchmark LAYERS name and an isomorphism test reference",
     "replay_proof_script": "kept by the ROADMAP for its documented, tested replay",
 }
