@@ -410,6 +410,13 @@ def _sweep_graph(g: Graph, seeds: int) -> _GraphResult:
     return list(acc.values()), k5_instances
 
 
+# At most this many sweep processes: each forked worker holds about 2.5 MB
+# of private memory (12-15 MB resident, most of it shared with its parent)
+# at n <= 8, and the 26 graphs of the default corpora, dealt to more than 8
+# shares, wait mostly on their largest graph.
+_MAX_SWEEP_JOBS = 8
+
+
 def _usable_cpus() -> int:
     """The number of CPUs this process may run on, or 1 where the OS
     does not say."""
@@ -418,13 +425,20 @@ def _usable_cpus() -> int:
     return 1
 
 
-def _share_message(corpus: tuple[Graph, ...], seeds: int, share: list[int]) -> dict:
+def _share_message(
+    corpus: tuple[Graph, ...], seeds: int, share: list[int], parent: int
+) -> dict:
     """What a forked worker sends back for the graphs at the indices
     `share`: {"graphs": [[index, report dicts, mined paths], ...]}, each
     path as [edge, seed, path vertices, serialized coloring], or
-    {"graph6", "error"} for the first graph whose sweep raises."""
+    {"graph6", "error"} for the first graph whose sweep raises. Before each
+    graph it checks that `parent`, the pid that forked it, is still its
+    parent, and ends at once with status 1 if not: a parent killed by a
+    signal runs no `finally` and reaps nothing."""
     graphs = []
     for i in share:
+        if os.getppid() != parent:
+            os._exit(1)
         try:
             reports, instances = _sweep_graph(corpus[i], seeds)
         except Exception:
@@ -438,21 +452,24 @@ def _share_message(corpus: tuple[Graph, ...], seeds: int, share: list[int]) -> d
     return {"graphs": graphs}
 
 
-def _sweep_forked(
+def _sweep_shares(
     corpus: tuple[Graph, ...], seeds: int, jobs: int
 ) -> list[_GraphResult]:
     """`_sweep_graph` of each corpus graph, in corpus order, over `jobs`
     processes. The graphs are dealt largest first (by edge count) to
     `jobs` shares; this process sweeps share 0 and one forked child sweeps
-    each other share, writes its `_share_message` as JSON to a pipe and
-    ends with `os._exit`, so it never flushes this process's buffered
-    output or runs its exit handlers. A child that fails raises
-    `RuntimeError` with its graph6, and every child is killed and reaped
-    on every path out."""
+    each other share, so one job forks nothing. A child writes its
+    `_share_message` as JSON to a pipe and ends with `os._exit`, so it
+    never flushes this process's buffered output or runs its exit
+    handlers. A child that fails raises `RuntimeError` with its graph6.
+    When this process leaves by an exception, its own or a child's, it
+    kills and reaps every child; when a signal kills it, each child ends
+    before its next graph."""
     order = sorted(range(len(corpus)), key=lambda i: -corpus[i].edge_count())
     shares = [order[j::jobs] for j in range(jobs)]
     results: list = [None] * len(corpus)  # index -> its _GraphResult
     children: list[tuple[int, BinaryIO]] = []  # (pid, read end) of unreaped children
+    parent = os.getpid()
     try:
         for share in shares[1:]:
             r, w = os.pipe()
@@ -461,7 +478,7 @@ def _sweep_forked(
                 code = 1
                 try:
                     os.close(r)
-                    message = _share_message(corpus, seeds, share)
+                    message = _share_message(corpus, seeds, share, parent)
                     with open(w, "w") as out:
                         out.write(json.dumps(message))
                     code = 0 if "graphs" in message else 1
@@ -525,18 +542,15 @@ def lemma_sweep(
     paths are found in its own labels.
 
     The graphs are swept apart (`_sweep_graph`), on as many processes as
-    there are CPUs this process may use, up to one per graph, and folded
-    in corpus order. Merging reports is associative, so the result does
-    not depend on the number of CPUs. On more than one CPU it forks, so
-    call it from a process that runs no other thread."""
-    jobs = min(_usable_cpus(), len(corpus))
-    if jobs > 1:
-        per_graph = _sweep_forked(corpus, seeds, jobs)
-    else:
-        per_graph = (_sweep_graph(g, seeds) for g in corpus)
+    there are CPUs this process may use, up to one per graph and
+    `_MAX_SWEEP_JOBS` in all, and folded in corpus order. Merging reports is
+    associative, so the result does not depend on the number of CPUs. On
+    more than one CPU it forks, so call it from a process that runs no
+    other thread."""
+    jobs = max(1, min(_usable_cpus(), _MAX_SWEEP_JOBS, len(corpus)))
     acc: dict[str, VerificationReport] = {}
     k5_instances: list[K5Instance] = []
-    for reports, instances in per_graph:
+    for reports, instances in _sweep_shares(corpus, seeds, jobs):
         for rep in reports:
             _accumulate(acc, rep)
         k5_instances.extend(instances)

@@ -750,6 +750,38 @@ def test_a_worker_that_dies_silently_is_an_error(monkeypatch):
     assert_no_child_left()
 
 
+def test_an_orphaned_worker_stops_before_its_next_graph(monkeypatch):
+    """A worker whose parent is no longer the pid that forked it, as after
+    a parent killed by a signal, ends with status 1 and sweeps nothing."""
+    monkeypatch.setattr(harness, "_sweep_graph", lambda g, seeds: os._exit(2))
+    corpus = (complete_graph(3),)
+    pid = os.fork()
+    if pid == 0:
+        try:
+            harness._share_message(corpus, 2, [0], parent=-1)
+        finally:
+            os._exit(3)
+    _, status = os.waitpid(pid, 0)
+    assert os.waitstatus_to_exitcode(status) == 1
+
+
+@pytest.mark.parametrize(
+    "cpus, graphs, jobs", [(1, 26, 1), (3, 2, 2), (4, 0, 1), (64, 26, 8)]
+)
+def test_sweep_jobs(monkeypatch, cpus, graphs, jobs):
+    """One process per usable CPU, up to one per graph and 8 in all."""
+    seen = []
+
+    def recording(corpus, seeds, n):
+        seen.append(n)
+        return []
+
+    monkeypatch.setattr(harness, "_sweep_shares", recording)
+    use_cpus(monkeypatch, cpus)
+    lemma_sweep((complete_graph(3),) * graphs, seeds=2)
+    assert seen == [jobs]
+
+
 def test_one_cpu_forks_nothing(monkeypatch, critical_corpus_small):
     def no_fork():
         raise AssertionError("the sweep forked on one CPU")
