@@ -200,8 +200,7 @@ def alpha_sequences(
         for anc in ancestors(v):
             for d in col.missing(anc):
                 for b in col.missing(v):
-                    if d != b:
-                        precedes.add((d, b))
+                    precedes.add((d, b))
     return sequences, precedes
 
 
@@ -212,7 +211,9 @@ def check_fan_lemmas(
     elementary; the center is linked to every leaf on every (center-missing,
     leaf-missing) color pair; and for leaf color pairs, different inducers
     force linkage while same-inducer unlinked pairs route their chain
-    through the center."""
+    through the center. Linkage is read only on an elementary fan, whose
+    vertices have pairwise disjoint missing sets, so the two colors of
+    every pair it reads differ."""
     check = "multifan-lemmas"
     r = fan.center
 
@@ -225,7 +226,7 @@ def check_fan_lemmas(
     for alpha in sorted(col.missing(r)):
         for s in fan.leaves:
             for beta in sorted(col.missing(s)):
-                if alpha != beta and not col.are_linked(r, s, alpha, beta):
+                if not col.are_linked(r, s, alpha, beta):
                     return fail(
                         "center-leaf-linkage", alpha=alpha, beta=beta, leaf=s
                     )
@@ -247,8 +248,6 @@ def check_fan_lemmas(
                 continue
             for delta in sorted(col.missing(si)):
                 for lam in sorted(col.missing(sj)):
-                    if delta == lam:
-                        continue
                     pairs_checked += 1
                     linked = col.are_linked(si, sj, delta, lam)
                     if anchor[delta] != anchor[lam]:
@@ -661,6 +660,12 @@ def check_fulldpair_lemma(g: Graph, a: int, b: int) -> VerificationReport:
     (iv)  a single deficient vertex outside {a, b} is impossible;
     and, when Delta >= 3(n-1)/4, at most one vertex outside the pair has
     degree Delta - 1.
+
+    (iii) is not tested apart, for (i) and (ii) imply it: a vertex at
+    distance 3 or more from {a, b} has its neighbors among the
+    n - |N(a) u N(b)| - 1 other vertices outside N(a) u N(b), so it stays
+    below the threshold, and every vertex that reaches it was bounded by
+    (i) or (ii) with the same bounds.
     """
     check = "full-deficiency-pair"
     delta = g.max_degree()
@@ -682,16 +687,6 @@ def check_fulldpair_lemma(g: Graph, a: int, b: int) -> VerificationReport:
             return fail("distance2-degree", x=x, degree=g.degree(x))
         if both_deficient and g.degree(x) != delta:
             return fail("distance2-degree-strict", x=x, degree=g.degree(x))
-
-    bound = g.n - len(g.neighbors(a) | g.neighbors(b))
-    for x in range(g.n):
-        if x in (a, b):
-            continue
-        if g.degree(x) >= bound:
-            if g.degree(x) < delta - 1:
-                return fail("high-degree-clause", x=x, degree=g.degree(x))
-            if both_deficient and g.degree(x) != delta:
-                return fail("high-degree-clause-strict", x=x, degree=g.degree(x))
 
     deficient = [
         x for x in range(g.n) if x not in (a, b) and g.degree(x) < delta

@@ -28,6 +28,7 @@ from kempe.graph import (
     edge_key,
     full_deficiency_pairs,
     hypercube_graph,
+    is_overfull,
     split_vertex,
     to_graph6,
 )
@@ -44,6 +45,7 @@ from kempe.harness import (
     verify_corollary_entry,
     verify_normalization,
     verify_theorem1,
+    verify_theorem2,
     verify_theorem2_entry,
     write_reports,
 )
@@ -238,14 +240,6 @@ def k4_minus_edge():
     return Graph(4, [e for e in complete_graph(4).edges() if e != (0, 1)])
 
 
-def k6_minus_two_paths():
-    """K6 minus the paths 0-1-2 and 3-4-5: Delta = 4, every vertex but 1
-    and 4 has degree 4, and (1, 4) is its one full-deficiency pair. It has
-    11 < 4 * 3 edges, so it is not overfull."""
-    drop = {(0, 1), (1, 2), (3, 4), (4, 5)}
-    return Graph(6, [e for e in complete_graph(6).edges() if e not in drop])
-
-
 def test_theorem2_overfull_clause():
     """K4 minus an edge meets the hypothesis (pairs such as (0, 2), and
     4 * 3 >= 3 * 3) but has 5 <= 3 * 2 edges."""
@@ -255,63 +249,51 @@ def test_theorem2_overfull_clause():
     assert rep.counterexample == {"graph6": to_graph6(g), "clause": "overfull"}
 
 
-def test_theorem2_merged_regularity_clause(monkeypatch):
-    """An overfull graph with a full-deficiency pair has every other vertex
-    at degree Delta, so the clause needs the overfull test bypassed: in K4
-    minus 01, vertex 1 keeps degree 2 when 0 and 2 are identified."""
-    monkeypatch.setattr(harness, "is_overfull", lambda g: True)
-    g = k4_minus_edge()
-    rep = verify_theorem2_entry(g)
-    assert not rep.passed
-    assert rep.counterexample == {
-        "graph6": to_graph6(g), "clause": "merged-regularity", "pair": [0, 2],
-    }
+def test_theorem2_makes_no_solver_call(monkeypatch):
+    corpus = delta_critical_corpus(7)
+
+    def no_solver(*args, **kwargs):
+        raise AssertionError("the edge count decides Theorem 2")
+
+    monkeypatch.setattr(classifier, "find_edge_coloring", no_solver)
+    rep = verify_theorem2(corpus)
+    assert rep.passed and rep.fired
 
 
-def test_theorem2_merged_coloring_clause(monkeypatch):
-    """A coloring of G - ab that gives a and b a shared color leaves the
-    two ends of ab a common missing color, so G is Delta-colorable and not
-    overfull: the clause needs the overfull test bypassed."""
-    monkeypatch.setattr(harness, "is_overfull", lambda g: True)
-    g = k6_minus_two_paths()
-    col = delta_coloring_of_minus_e(g, (1, 4))
-    assert oracles.identified_pair_is_regular_and_proper(col, 1, 4) == (True, False)
-    rep = verify_theorem2_entry(g)
-    assert not rep.passed
-    assert rep.counterexample == {
-        "graph6": to_graph6(g), "clause": "merged-coloring", "pair": [1, 4],
-    }
-
-
-def test_theorem2_identification_matches_networkx(monkeypatch):
-    """For every full-deficiency pair of every critical graph on at most 7
-    vertices and of every graph on at most 6 whose G - ab is
-    Delta-colorable, the entry passes exactly when the networkx contraction
-    of a and b is Delta-regular and properly colored, and otherwise names
-    the clause that fails. Each pair is checked on its own, past the
-    overfull test and the degree bound."""
-    monkeypatch.setattr(harness, "is_overfull", lambda g: True)
-    monkeypatch.setattr(harness, "meets_degree_bound", lambda delta, n: True)
-    hosts = list(delta_critical_corpus(7))
-    hosts += [g for n in range(3, 7) for g in enumerate_graphs(n)]
-    outcomes = set()
-    for g in hosts:
+def theorem2_identification_hosts():
+    """(graph, pair, Delta-coloring of G - ab) for every full-deficiency
+    pair (a, b) whose G - ab is Delta-colorable, of every graph on at most
+    7 vertices and of every split of K4, K6 and K8."""
+    graphs = [g for n in range(1, 8) for g in enumerate_graphs(n)]
+    for n in (4, 6, 8):
+        k = complete_graph(n)
+        graphs += [split_vertex(k, spec) for spec in _split_specs(k)]
+    for g in graphs:
         for pair in full_deficiency_pairs(g):
             try:
-                col = delta_coloring_of_minus_e(g, pair)
+                yield g, pair, delta_coloring_of_minus_e(g, pair)
             except ValueError:
                 continue
-            monkeypatch.setattr(harness, "full_deficiency_pairs", lambda g: [pair])
-            rep = verify_theorem2_entry(g)
-            regular, proper = oracles.identified_pair_is_regular_and_proper(col, *pair)
-            if regular and proper:
-                assert rep.passed, (to_graph6(g), pair)
-                clause = None
-            else:
-                clause = "merged-regularity" if not regular else "merged-coloring"
-                assert rep.counterexample["clause"] == clause, (to_graph6(g), pair)
-            outcomes.add(clause)
-    assert outcomes == {None, "merged-regularity", "merged-coloring"}
+
+
+def test_theorem2_identification_matches_networkx():
+    """`verify_theorem2_entry` reads the identification off the edge count.
+    On every overfull host the networkx contraction of a and b in the
+    coloring of G - ab is Delta-regular and properly colored, and the entry
+    passes. The hosts that are not overfull fail in both ways, so the
+    oracle tells the two conditions apart."""
+    overfull, outcomes = 0, set()
+    for g, pair, col in theorem2_identification_hosts():
+        regular, proper = oracles.identified_pair_is_regular_and_proper(col, *pair)
+        if is_overfull(g):
+            overfull += 1
+            assert regular and proper, (to_graph6(g), pair)
+            assert verify_theorem2_entry(g).passed
+        else:
+            outcomes.add((regular, proper))
+    assert overfull == 38 + 9  # pairs on at most 7 vertices, then the splits
+    assert any(not regular for regular, _ in outcomes)
+    assert any(not proper for _, proper in outcomes)
 
 
 def test_corollary_entry(splitk4):
@@ -747,6 +729,29 @@ def test_a_worker_that_dies_silently_is_an_error(monkeypatch):
     use_cpus(monkeypatch, 2)
     with pytest.raises(RuntimeError, match="worker ended with wait status 768"):
         lemma_sweep(delta_critical_corpus(7), seeds=2)
+    assert_no_child_left()
+
+
+def test_a_failed_fork_closes_its_pipe(monkeypatch):
+    """When `os.fork` fails for the second worker, the error leaves the
+    sweep, both ends of that worker's pipe are closed and the first worker
+    is reaped."""
+    corpus = delta_critical_corpus(7)
+    fork, calls = os.fork, []
+
+    def second_fails():
+        calls.append(None)
+        if len(calls) == 2:
+            raise OSError("planted fork failure")
+        return fork()
+
+    monkeypatch.setattr(os, "fork", second_fails)
+    use_cpus(monkeypatch, 3)
+    open_fds = len(os.listdir("/dev/fd"))
+    with pytest.raises(OSError, match="planted fork failure"):
+        lemma_sweep(corpus, seeds=2)
+    assert len(calls) == 2
+    assert len(os.listdir("/dev/fd")) == open_fds
     assert_no_child_left()
 
 

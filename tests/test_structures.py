@@ -4,6 +4,7 @@ import ast
 import hashlib
 import json
 import random
+from collections import deque
 from itertools import permutations
 from pathlib import Path
 
@@ -14,12 +15,13 @@ import kempe.structures
 from kempe.classify import delta_coloring_of_minus_e, find_edge_coloring
 from kempe.coloring import PartialEdgeColoring
 from kempe.graph import (
-    Graph, builtin_fixture, cycle_graph, full_deficiency_pairs, to_graph6,
+    Graph, builtin_fixture, cycle_graph, from_graph6, full_deficiency_pairs, to_graph6,
 )
 from kempe.harness import enumerate_graphs
 from kempe.structures import (
     AmbiguityError,
     KiersteadPath,
+    StructureWitness,
     check_fan_lemmas,
     check_fork_absence,
     check_fulldpair_lemma,
@@ -142,6 +144,45 @@ def test_fan_lemmas_triangle_linkage():
     fan = grow_multifan(col, 0, 1)
     rep = check_fan_lemmas(col, fan)
     assert rep.passed
+
+
+def minus_e_host(graph6: str, e: tuple[int, int], seed: int) -> PartialEdgeColoring:
+    """The seeded Delta-coloring of a graph minus e. The graphs below are
+    not Delta-critical, so the lemmas need not hold on them."""
+    return delta_coloring_of_minus_e(from_graph6(graph6), e, seed=seed)
+
+
+@pytest.mark.parametrize(
+    "graph6, e, seed, fan_vertices, clause, evidence, unlinked",
+    [
+        ("DEg", (0, 3), 1, [0, 3, 4], "center-leaf-linkage",
+         {"alpha": 1, "beta": 2, "leaf": 3}, (0, 3, 1, 2)),
+        ("FFzvg", (0, 3), 0, [3, 0, 2, 5, 6], "distinct-inducer-linkage",
+         {"delta": 3, "lam": 5, "si": 0, "sj": 2}, (0, 2, 3, 5)),
+        ("FEjro", (3, 5), 0, [3, 5, 1, 0, 6], "same-inducer-center-route",
+         {"delta": 2, "lam": 4, "si": 5, "sj": 0}, (5, 0, 2, 4)),
+    ],
+    ids=["center-leaf", "distinct-inducer", "same-inducer"],
+)
+def test_fan_lemmas_linkage_clauses(
+    graph6, e, seed, fan_vertices, clause, evidence, unlinked
+):
+    """Each linkage clause fails on an elementary fan of a graph that is
+    not Delta-critical, and names two vertices that are really not linked
+    on its two colors (`unlinked`)."""
+    col = minus_e_host(graph6, e, seed)
+    fan = grow_multifan(col, *fan_vertices[:2])
+    assert list(fan.vertices) == fan_vertices and col.is_elementary(fan.vertices)
+    rep = check_fan_lemmas(col, fan)
+    assert not rep.passed
+    assert rep.counterexample == {
+        "graph6": graph6, "coloring": col.serialize(), "clause": clause,
+        "fan": fan_vertices, **evidence,
+    }
+    assert not col.are_linked(*unlinked)
+    if clause == "same-inducer-center-route":
+        chain = col.chain_through(evidence["sj"], evidence["lam"], evidence["delta"])
+        assert fan.center not in chain.vertices
 
 
 # -- Kierstead paths ---------------------------------------------------------
@@ -306,6 +347,31 @@ def test_k5_claims_negative_control():
         if found:
             break
     assert found
+
+
+def test_k5_claims_companion_degree():
+    """The far end 4 shares 4 colors with the root pair, and the companion
+    path (1, 5, 6, 2) ends at a vertex of degree 2 < Delta = 5."""
+    col = minus_e_host("F?bvg", (1, 5), 0)
+    kp = KiersteadPath((1, 5, 6, 0, 4))
+    kp.validate(col)
+    rep = check_k5_claims(col, kp)
+    assert not rep.passed
+    assert rep.details == {"overlap3_met": 1, "companion_met": 1}
+    assert rep.counterexample == {
+        "graph6": "F?bvg", "coloring": col.serialize(), "clause": "companion-degree",
+        "path": [1, 5, 6, 0, 4], "x": 2, "degree": 2,
+    }
+    KiersteadPath((1, 5, 6, 2)).validate(col)
+
+
+def test_k5_claims_pass_with_full_inner_degrees():
+    col = minus_e_host("ECzg", (1, 4), 0)
+    kp = KiersteadPath((1, 4, 5, 0, 3))
+    kp.validate(col)
+    rep = check_k5_claims(col, kp)
+    assert rep.passed and rep.fired
+    assert rep.details == {"overlap3_met": 1, "companion_met": 0}
 
 
 # -- short-kites, kites, forks ------------------------------------------------
@@ -539,6 +605,27 @@ def test_kite_finder_and_negative_control():
     assert len(rep.counterexample["shared"]) >= 5
 
 
+def test_kite_passes_within_the_bound():
+    col, _ = random_host_with_paths(30, 2)
+    wit = find_structure_witnesses(col, "kite")[0]
+    rep = check_kite(col, wit)
+    assert rep.passed and rep.fired
+    assert rep.details == {"shared": 2}
+
+
+def test_kite_vacuous_when_tip_edges_differ():
+    """The violation host with s2t2 recolored 6: s1t1 keeps color 3, so
+    the conclusion is not asked for. The finder yields no such kite; the
+    witness is built by hand."""
+    col = kite_violation_host()
+    col.uncolor_edge((5, 7))
+    col.color_edge((5, 7), 6)
+    roles = {"a": 0, "b": 1, "c": 2, "u": 3, "s1": 4, "s2": 5, "t1": 6, "t2": 7}
+    assert all(w.roles != roles for w in find_structure_witnesses(col, "kite"))
+    rep = check_kite(col, StructureWitness("kite", roles))
+    assert rep.passed and rep.vacuous == 1 and rep.details == {}
+
+
 def shortkite_violation_host():
     edges = [(0, 1), (0, 2), (1, 3), (2, 3), (3, 4), (3, 5)]
     g = Graph(6, edges)
@@ -592,6 +679,13 @@ def test_fork_absence_makes_no_finder_call(monkeypatch, pstar):
     }
     for e in pstar.edges():
         assert check_fork_absence(delta_coloring_of_minus_e(pstar, e)).passed
+
+
+def test_fork_absence_passes_with_a_candidate():
+    col = minus_e_host("F?qcw", (3, 6), 0)
+    rep = check_fork_absence(col)
+    assert rep.passed and rep.fired
+    assert rep.details == {"candidates": 1}
 
 
 def test_fork_absence_vacuous_without_candidates():
@@ -748,47 +842,33 @@ def test_fulldpair_distance2_degree_strict():
     assert_fulldpair_fails(g, (0, 2), "distance2-degree-strict", x=1, degree=3)
 
 
-class OverstatedDegree(Graph):
-    """A graph whose `degree` reports `claimed` for one vertex. A vertex x
-    outside {a, b} at distance 3 or more from them has its neighbors among
-    the other n - |N(a) u N(b)| - 1 vertices, so d(x) is below the
-    high-degree clauses' threshold: on a simple graph only vertices that
-    the joint and distance-2 clauses already bounded reach them."""
-
-    __slots__ = ("vertex", "claimed")
-
-    def __init__(self, n, edges, vertex, claimed):
-        super().__init__(n, edges)
-        self.vertex, self.claimed = vertex, claimed
-
-    def degree(self, v):
-        return self.claimed if v == self.vertex else super().degree(v)
+def distances_from_pair(g, a, b) -> dict[int, int]:
+    """Breadth-first distance of each reachable vertex from {a, b}."""
+    dist, queue = {a: 0, b: 0}, deque([a, b])
+    while queue:
+        x = queue.popleft()
+        for y in g.neighbors(x) - dist.keys():
+            dist[y] = dist[x] + 1
+            queue.append(y)
+    return dist
 
 
-def test_fulldpair_high_degree_clause():
-    """splitk4 plus an isolated vertex 5 claimed at degree 1: the pair
-    (0, 1) leaves a threshold of 6 - 5 = 1, and 1 < Delta - 1 = 2."""
-    g = OverstatedDegree(6, builtin_fixture("splitk4").edges(), vertex=5, claimed=1)
-    assert_fulldpair_fails(g, (0, 1), "high-degree-clause", x=5, degree=1)
-
-
-def test_fulldpair_high_degree_clause_strict():
-    """K4 on {0, 1, 2, 3}, a vertex 4 joined to 2 and 3 and pendants 5 and
-    6 on 4, with 5 claimed at degree 3: Delta = 4, both ends of the pair
-    (0, 1) have degree 3, and the threshold is 7 - 4 = 3."""
-    edges = [(0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3), (2, 4), (3, 4), (4, 5), (4, 6)]
-    g = OverstatedDegree(7, edges, vertex=5, claimed=3)
-    assert_fulldpair_fails(g, (0, 1), "high-degree-clause-strict", x=5, degree=3)
-
-
-def test_fulldpair_high_degree_clauses_need_an_overstated_degree():
-    """No pair of a simple graph on at most 6 vertices reaches them."""
-    for n in range(3, 7):
+def test_fulldpair_high_degree_vertices_are_near_the_pair():
+    """The premise that lets the lemma's clause (iii) go untested: on every
+    full-deficiency pair of every graph on at most 7 vertices, each vertex
+    x outside {a, b} with d(x) >= n - |N(a) u N(b)| lies in the joint
+    neighborhood or the distance-2 ring, which clauses (i) and (ii) bound."""
+    reached = 0
+    for n in range(1, 8):
         for g in enumerate_graphs(n):
             for a, b in full_deficiency_pairs(g):
-                rep = check_fulldpair_lemma(g, a, b)
-                clause = (rep.counterexample or {}).get("clause", "")
-                assert not clause.startswith("high-degree"), (to_graph6(g), a, b)
+                dist = distances_from_pair(g, a, b)
+                bound = g.n - len(g.neighbors(a) | g.neighbors(b))
+                for x in range(g.n):
+                    if x not in (a, b) and g.degree(x) >= bound:
+                        reached += 1
+                        assert dist.get(x, 3) <= 2, (to_graph6(g), a, b, x)
+    assert reached == 14494
 
 
 def test_fulldpair_deficiency_pairing():
