@@ -12,12 +12,10 @@ they carry work counts, never wall times.
 from __future__ import annotations
 
 import json
-import os
 import random
-import signal
 from dataclasses import dataclass
 from pathlib import Path
-from typing import BinaryIO
+from typing import Iterable
 
 from .classify import (
     all_edges_critical,
@@ -38,6 +36,7 @@ from .graph import (
     to_graph6,
 )
 from .iso import (
+    Masks,
     automorphism_group,
     automorphisms,
     edge_actions,
@@ -53,6 +52,7 @@ from .normalize import (
     normalize_k5,
 )
 from .report import VerificationReport, failing, merge_reports, passing, vacuous
+from .shares import job_count, run_shares, units
 from .structures import (
     KiersteadPath,
     check_fan_lemmas,
@@ -85,45 +85,98 @@ def enumerate_graphs(n: int) -> tuple[Graph, ...]:
 _CRITICAL_CACHE: dict[int, tuple[tuple[Graph, ...], VerificationReport]] = {}
 
 
-def _corpus_pass(n_max: int) -> tuple[tuple[Graph, ...], VerificationReport]:
-    """Classify each enumerated graph with edges once, one order at a
-    time: a Delta-coloring goes to the parity check; a graph with none is
-    Class 2, so a connected one only needs its edges tested for
-    criticality. The budget is checked at once, and each `Graph` is built
-    when its masks are reached, so a pass never holds a level of them.
+def _classify_order(
+    level: tuple[Masks, ...],
+    indices: Iterable[int],
+    below: dict[Masks, bytes],
+    rng: random.Random,
+    colors: dict[Masks, bytes] | None,
+) -> tuple[VerificationReport | None, int | None, list[int]]:
+    """The corpus pass over the graphs at `indices` of `level`, the graphs
+    of one order n from `enumerate_mask_graphs`: the fold of their parity
+    reports in order (None when there is none), the index of the first
+    failing one (None when none fails), and the indices of the
+    Delta-critical graphs.
 
     A graph on n vertices is its parent, listed on n - 1 vertices, plus
-    vertex n - 1 (`enumerate_mask_graphs`), so `walk_then_search` colors it
-    from the parent's Delta-coloring, kept as one color byte per edge in
-    `g.edges()` order and only below n_max, or from the empty coloring when
-    the parent is Class 2. One generator serves the whole pass, and every
-    "no", so every Class 2 verdict, comes from the exhaustive search or its
-    edge count."""
+    vertex n - 1, so `walk_then_search` colors it from the parent's
+    Delta-coloring, looked up in `below` as one color byte per edge in
+    `g.edges()` order, or from the empty coloring when the parent is
+    Class 2. Each coloring found is stored the same way in `colors` when
+    that is given. Each `Graph` is built when its masks are reached, so
+    the pass never holds a level of them."""
+    new = len(level[0]) - 1
+    fold, failure, critical = None, None, []
+    for i in indices:
+        masks = level[i]
+        g = Graph.from_masks(masks)
+        edges = g.edges()
+        if not edges:
+            continue
+        parent = below.get(tuple(m & ~(1 << new) for m in masks[:-1]), b"")
+        assign = dict(zip([e for e in edges if e[1] != new], parent))
+        col = walk_then_search(g, g.max_degree(), rng, assign)
+        if col is None:
+            if g.is_connected() and all_edges_critical(g):
+                critical.append(i)
+            continue
+        if colors is not None:
+            colors[masks] = col.color_bytes(edges)
+        rep = check_parity(col)
+        if failure is None and not rep.passed:
+            failure = i
+        fold = rep if fold is None else fold.merge(rep)
+    return fold, failure, critical
+
+
+def _corpus_pass(n_max: int) -> tuple[tuple[Graph, ...], VerificationReport]:
+    """Classify each enumerated graph with edges once, one order at a
+    time (`_classify_order`): a Delta-coloring goes to the parity check; a
+    graph with none is Class 2, so a connected one only needs its edges
+    tested for criticality. The budget is checked at once. Every "no", so
+    every Class 2 verdict, comes from the exhaustive search or its edge
+    count.
+
+    The orders below n_max run here, in one pass whose colorings seed the
+    next order. The graphs of order n_max are dealt by stride (index
+    j::jobs) to `shares.job_count` shares: share 0 runs here and each
+    other share in a forked child (`shares.run_shares`), each continuing
+    the pass's generator from its state at the fork. The critical tuple is
+    rebuilt in corpus order from the shares' indices. A parity report's
+    details are numeric, so the folds merge in any order but for the first
+    counterexample, and merging the shares' folds by their first failure
+    keeps the first of the corpus order. On one CPU the generator's draws
+    are those of one pass over every order. On more, a walk at n_max may
+    find another Delta-coloring, so walk and solver counts may differ, but
+    the results cannot: a passing parity fold sums `hypothesis_met` and
+    `colors`, and criticality is exact. On more than one CPU this forks,
+    so call it from a process that runs no other thread."""
     _check_enumeration_budget(n_max)
     if n_max not in _CRITICAL_CACHE:
-        critical: list[Graph] = []
         rng = random.Random(0)
+        critical: list[Graph] = []
+        folds: list[VerificationReport | None] = []
+        below: dict[Masks, bytes] = {}  # masks -> color bytes, one order down
+        for n in range(1, n_max):
+            level, colors = enumerate_mask_graphs(n), {}
+            fold, _, found = _classify_order(level, range(len(level)), below, rng, colors)
+            folds.append(fold)
+            critical.extend(Graph.from_masks(level[i]) for i in found)
+            below = colors
+        last = enumerate_mask_graphs(n_max)
+        jobs = job_count(len(last))
 
-        def parity_reports():
-            colors = {}  # masks -> color bytes, one order down
-            for n in range(1, n_max + 1):
-                below, colors, new = colors, {}, n - 1
-                for masks in enumerate_mask_graphs(n):
-                    g = Graph.from_masks(masks)
-                    edges = g.edges()
-                    if not edges:
-                        continue
-                    parent = below.get(tuple(m & ~(1 << new) for m in masks[:-1]), b"")
-                    assign = dict(zip([e for e in edges if e[1] != new], parent))
-                    col = walk_then_search(g, g.max_degree(), rng, assign)
-                    if col is not None:
-                        if n < n_max:
-                            colors[masks] = col.color_bytes(edges)
-                        yield check_parity(col)
-                    elif g.is_connected() and all_edges_critical(g):
-                        critical.append(g)
+        def share(j: int) -> list:
+            indices = units(range(j, len(last), jobs))
+            fold, failure, found = _classify_order(last, indices, below, rng, None)
+            return [fold and fold.to_dict(), failure, found]
 
-        parity = merge_reports(parity_reports(), "parity")
+        shares = run_shares(jobs, share)
+        shares.sort(key=lambda result: len(last) if result[1] is None else result[1])
+        folds.extend(fold and VerificationReport(**fold) for fold, _, _ in shares)
+        found = sorted(i for _, _, indices in shares for i in indices)
+        critical.extend(Graph.from_masks(last[i]) for i in found)
+        parity = merge_reports(filter(None, folds), "parity")
         _CRITICAL_CACHE[n_max] = tuple(critical), parity
     return _CRITICAL_CACHE[n_max]
 
@@ -410,122 +463,6 @@ def _sweep_graph(g: Graph, seeds: int) -> _GraphResult:
     return list(acc.values()), k5_instances
 
 
-# At most this many sweep processes: each forked worker holds about 2.5 MB
-# of private memory (12-15 MB resident, most of it shared with its parent)
-# at n <= 8, and the 26 graphs of the default corpora, dealt to more than 8
-# shares, wait mostly on their largest graph.
-_MAX_SWEEP_JOBS = 8
-
-
-def _usable_cpus() -> int:
-    """The number of CPUs this process may run on, or 1 where the OS
-    does not say."""
-    if hasattr(os, "sched_getaffinity"):
-        return len(os.sched_getaffinity(0))
-    return 1
-
-
-def _share_message(
-    corpus: tuple[Graph, ...], seeds: int, share: list[int], parent: int
-) -> dict:
-    """What a forked worker sends back for the graphs at the indices
-    `share`: {"graphs": [[index, report dicts, mined paths], ...]}, each
-    path as [edge, seed, path vertices, serialized coloring], or
-    {"graph6", "error"} for the first graph whose sweep raises. Before each
-    graph it checks that `parent`, the pid that forked it, is still its
-    parent, and ends at once with status 1 if not: a parent killed by a
-    signal runs no `finally` and reaps nothing."""
-    graphs = []
-    for i in share:
-        if os.getppid() != parent:
-            os._exit(1)
-        try:
-            reports, instances = _sweep_graph(corpus[i], seeds)
-        except Exception:
-            import traceback  # only a failing worker pays for the import
-
-            return {"graph6": to_graph6(corpus[i]), "error": traceback.format_exc()}
-        k5 = [
-            [e, seed, kp.vertices, col.serialize()] for _, e, seed, kp, col in instances
-        ]
-        graphs.append([i, [rep.to_dict() for rep in reports], k5])
-    return {"graphs": graphs}
-
-
-def _sweep_shares(
-    corpus: tuple[Graph, ...], seeds: int, jobs: int
-) -> list[_GraphResult]:
-    """`_sweep_graph` of each corpus graph, in corpus order, over `jobs`
-    processes. The graphs are dealt largest first (by edge count) to
-    `jobs` shares; this process sweeps share 0 and one forked child sweeps
-    each other share, so one job forks nothing. A child writes its
-    `_share_message` as JSON to a pipe and ends with `os._exit`, so it
-    never flushes this process's buffered output or runs its exit
-    handlers. A child that fails raises `RuntimeError` with its graph6.
-    When this process leaves by an exception, its own or a child's, it
-    kills and reaps every child; when a signal kills it, each child ends
-    before its next graph."""
-    order = sorted(range(len(corpus)), key=lambda i: -corpus[i].edge_count())
-    shares = [order[j::jobs] for j in range(jobs)]
-    results: list = [None] * len(corpus)  # index -> its _GraphResult
-    children: list[tuple[int, BinaryIO]] = []  # (pid, read end) of unreaped children
-    parent = os.getpid()
-    try:
-        for share in shares[1:]:
-            r, w = os.pipe()
-            try:
-                pid = os.fork()
-            except OSError:
-                os.close(r)
-                os.close(w)
-                raise
-            if pid == 0:
-                code = 1
-                try:
-                    os.close(r)
-                    message = _share_message(corpus, seeds, share, parent)
-                    with open(w, "w") as out:
-                        out.write(json.dumps(message))
-                    code = 0 if "graphs" in message else 1
-                finally:
-                    os._exit(code)
-            os.close(w)
-            children.append((pid, open(r, "rb")))
-        for i in shares[0]:
-            results[i] = _sweep_graph(corpus[i], seeds)
-        while children:
-            pid, pipe = children[0]
-            data = pipe.read()
-            _, status = os.waitpid(pid, 0)
-            children.pop(0)
-            pipe.close()
-            try:
-                message = json.loads(data)
-            except ValueError:  # the child died before it finished writing
-                message = {}
-            if "error" in message:
-                raise RuntimeError(
-                    f"lemma sweep failed on {message['graph6']}:\n{message['error']}"
-                )
-            if status or "graphs" not in message:
-                raise RuntimeError(
-                    f"lemma sweep worker ended with wait status {status}"
-                )
-            for i, reports, k5 in message["graphs"]:
-                g = corpus[i]
-                paths = [
-                    (g, tuple(e), s, KiersteadPath(tuple(vs)), parse_coloring(g, text))
-                    for e, s, vs, text in k5
-                ]
-                results[i] = [VerificationReport(**rep) for rep in reports], paths
-    finally:
-        for pid, pipe in children:
-            os.kill(pid, signal.SIGKILL)
-            os.waitpid(pid, 0)
-            pipe.close()
-    return results
-
-
 def lemma_sweep(
     corpus: tuple[Graph, ...], seeds: int = 8
 ) -> tuple[list[VerificationReport], list[K5Instance]]:
@@ -546,16 +483,53 @@ def lemma_sweep(
     has such a path is checked in full on every member, so each member's
     paths are found in its own labels.
 
-    The graphs are swept apart (`_sweep_graph`), on as many processes as
-    there are CPUs this process may use, up to one per graph and
-    `_MAX_SWEEP_JOBS` in all, and folded in corpus order. Merging reports is
-    associative, so the result does not depend on the number of CPUs. On
-    more than one CPU it forks, so call it from a process that runs no
-    other thread."""
-    jobs = max(1, min(_usable_cpus(), _MAX_SWEEP_JOBS, len(corpus)))
+    The graphs are swept apart (`_sweep_graph`), dealt largest first (by
+    edge count) to `shares.job_count` shares, share 0 here and each other
+    share in a forked child (`shares.run_shares`), and folded in corpus
+    order. Merging reports is associative, so the result does not depend
+    on the number of CPUs. A graph whose sweep raises in a forked share
+    fails the sweep with a `RuntimeError` that names its graph6. On more
+    than one CPU this forks, so call it from a process that runs no other
+    thread."""
+    jobs = job_count(len(corpus))
+    order = sorted(range(len(corpus)), key=lambda i: -corpus[i].edge_count())
+
+    def share(j: int) -> list:
+        """(index, `_sweep_graph` result) of each graph of share j; in a
+        forked share, [index, report dicts, mined paths] instead, each
+        path as [edge, seed, path vertices, serialized coloring]."""
+        graphs = []
+        for i in units(order[j::jobs]):
+            if not j:
+                graphs.append((i, _sweep_graph(corpus[i], seeds)))
+                continue
+            try:
+                reports, instances = _sweep_graph(corpus[i], seeds)
+            except Exception as exc:
+                graph6 = to_graph6(corpus[i])
+                raise RuntimeError(f"lemma sweep failed on {graph6}") from exc
+            k5 = [
+                [e, seed, kp.vertices, col.serialize()]
+                for _, e, seed, kp, col in instances
+            ]
+            graphs.append([i, [rep.to_dict() for rep in reports], k5])
+        return graphs
+
+    here, *forked = run_shares(jobs, share)
+    results: list = [None] * len(corpus)  # index -> its _GraphResult
+    for i, result in here:
+        results[i] = result
+    for graphs in forked:
+        for i, reports, k5 in graphs:
+            g = corpus[i]
+            paths = [
+                (g, tuple(e), s, KiersteadPath(tuple(vs)), parse_coloring(g, text))
+                for e, s, vs, text in k5
+            ]
+            results[i] = [VerificationReport(**rep) for rep in reports], paths
     acc: dict[str, VerificationReport] = {}
     k5_instances: list[K5Instance] = []
-    for reports, instances in _sweep_shares(corpus, seeds, jobs):
+    for reports, instances in results:
         for rep in reports:
             _accumulate(acc, rep)
         k5_instances.extend(instances)

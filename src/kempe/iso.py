@@ -11,7 +11,10 @@ refines each child once. A child with a discrete refinement has one leaf
 form, read off it. Any other child is searched only when another child
 shares its invariant bucket: a later child of the bucket is a duplicate
 when its first leaf form is among the leaf forms of the graphs kept so
-far, the bucket's first child searched only as far as needed. `automorphisms`
+far, the bucket's first child searched only as far as needed. Each step
+deals its children by edge count to one share per usable CPU
+(`kempe.shares`); isomorphic children have one edge count, so the shares
+together keep what one process keeps. `automorphisms`
 returns the generators the search records, so a loop over a graph's
 vertices or edges can do its work once per orbit (`orbit_representatives`;
 edges through `edge_actions`), and `automorphism_group` lists the group.
@@ -24,6 +27,7 @@ from __future__ import annotations
 from typing import Iterator
 
 from .graph import Edge, bit_positions, edge_key
+from .shares import job_count, run_shares, units
 
 Masks = tuple[int, ...]
 Perm = tuple[int, ...]  # vertex v goes to perm[v]
@@ -221,73 +225,58 @@ def _bucket_key(masks: Masks, colors: list[int]) -> int:
 _ENUM_CACHE: dict[int, tuple[Masks, ...]] = {}
 
 
-def enumerate_mask_graphs(n: int) -> tuple[Masks, ...]:
-    """All simple graphs on n vertices up to isomorphism, as adjacency-mask
-    tuples: each graph on n - 1 vertices gains a new vertex of maximum
-    degree in every way, and a child isomorphic to one kept before it is
-    dropped, so the first child of each class is kept, in parent-then-subset
-    order. Every graph is G' + v with v of maximum degree and G' listed up
-    to isomorphism, so no class is missed (the vertex-invariant half of
-    McKay's canonical deletion, *Isomorph-free exhaustive generation*,
-    1998). With D the parent's maximum degree and F its vertices of degree
-    D, neighbor set S gives the new vertex maximum degree exactly when
-    |S| > D, or |S| == D and S misses F.
+def _child(parent: Masks, subset: int) -> Masks:
+    """`parent` with a new last vertex joined to the vertices in `subset`."""
+    new = len(parent)
+    return (
+        *[m | 1 << new if subset >> v & 1 else m for v, m in enumerate(parent)],
+        subset,
+    )
 
-    A duplicate is found at three costs. An automorphism of the parent that
-    maps a smaller subset to S makes the child of S isomorphic to one
-    decided before it, so each parent's automorphisms are searched once and
-    only the least subset of each orbit is tried (the degree test holds on
-    a whole orbit or on none of it). Each child tried is refined once. If
-    that refinement is discrete, it is the child's one leaf, and its form is
-    looked up among `seen`, the leaf forms of the kept children found so
-    far. Otherwise `_bucket_key` puts the child in a bucket. The first child
-    of a bucket is kept unsearched, as pending. A later one is a duplicate
-    when its first leaf form is in `seen`, or is a leaf form (`_leaves`) of
-    the bucket's pending child, whose search adds its forms to `seen` and
-    stops at that form; a pending child whose search ends is no longer
-    pending. A child kept then adds all its leaf forms. Every labelling of
-    a graph has the same leaf forms, non-isomorphic graphs share none, and
-    isomorphic graphs share a key, so the key changes the work, never the
-    result. The result is an immutable tuple, so callers cannot alter the
-    cache."""
-    if n < 0:
-        raise ValueError("n must be non-negative")
-    if n in _ENUM_CACHE:
-        return _ENUM_CACHE[n]
-    if n == 0:
-        return ((),)
-    if n == 1:
-        return ((0,),)
-    out: list[Masks] = []
+
+def _step_share(parents: tuple[Masks, ...], share: int, jobs: int) -> list[list[int]]:
+    """The [parent index, subset] of each child that the step from
+    `parents` keeps among the children whose edge count is `share` mod
+    `jobs`, in parent-then-subset order (see `enumerate_mask_graphs`)."""
+    new = len(parents[0])
+    n = new + 1
+    kept: list[list[int]] = []
     seen: set[Masks] = set()
     # bucket key -> its first child while that child's search is unfinished
     pending: dict[int, Masks | None] = {}
-    new = n - 1
-    for parent in enumerate_mask_graphs(n - 1):
+    for index, parent in units(enumerate(parents)):
         deg = [m.bit_count() for m in parent]
         top = max(deg, default=0)
         full = sum([1 << v for v in range(new) if deg[v] == top])
+        edges = sum(deg) // 2
+        # the sizes of S that give the new vertex maximum degree and the
+        # child an edge count in this share
+        sizes = [
+            size
+            for size in range(top, n)
+            if (size > top or new - full.bit_count() >= top)
+            and (edges + size) % jobs == share
+        ]
+        if not sizes:
+            continue
         actions = [_subset_action(gamma) for gamma in automorphisms(parent)]
         tried: set[int] = set()  # the orbits of the subsets tried so far
         for subset in range(1 << new):
             size = subset.bit_count()
-            if size < top or size == top and subset & full or subset in tried:
+            if size not in sizes or size == top and subset & full or subset in tried:
                 continue
             tried |= _orbit([subset], actions)
-            child = (
-                *[m | 1 << new if subset >> v & 1 else m for v, m in enumerate(parent)],
-                subset,
-            )
+            child = _child(parent, subset)
             root = refinement_colors(child)
             if len(set(root)) == n:
                 form = _form(child, root)
                 if form not in seen:
-                    out.append(child)
+                    kept.append([index, subset])
                     seen.add(form)
                 continue
             key = _bucket_key(child, root)
             if key not in pending:
-                out.append(child)
+                kept.append([index, subset])
                 pending[key] = child
                 continue
             leaves = _leaves(child, [], root)
@@ -301,8 +290,66 @@ def enumerate_mask_graphs(n: int) -> tuple[Masks, ...]:
                 else:
                     pending[key] = None
             if first not in seen:
-                out.append(child)
+                kept.append([index, subset])
                 seen.add(first)
                 seen.update(leaves)
-    _ENUM_CACHE[n] = tuple(out)
+    return kept
+
+
+def enumerate_mask_graphs(n: int) -> tuple[Masks, ...]:
+    """All simple graphs on n vertices up to isomorphism, as adjacency-mask
+    tuples: each graph on n - 1 vertices gains a new vertex of maximum
+    degree in every way, and a child isomorphic to one kept before it is
+    dropped, so the first child of each class is kept, in parent-then-subset
+    order. Every graph is G' + v with v of maximum degree and G' listed up
+    to isomorphism, so no class is missed (the vertex-invariant half of
+    McKay's canonical deletion, *Isomorph-free exhaustive generation*,
+    1998). With D the parent's maximum degree and F its vertices of degree
+    D, neighbor set S gives the new vertex maximum degree exactly when
+    |S| > D, or |S| == D and S misses F.
+
+    The children are dealt to `shares.job_count(len(parents))` shares by
+    edge count (the parent's edges plus |S|) mod the number of shares, and
+    each share runs the loop of `_step_share` over its own children; share
+    0 runs here and each other share in a forked child
+    (`shares.run_shares`). Whether a child is kept depends only on
+    the children before it that are isomorphic to it, and isomorphic
+    children have one edge count, so each class lies in one share, which
+    keeps its first child. The sorted union of the shares' (parent index,
+    subset) pairs is therefore the one-share result, on any number of
+    CPUs. A share searches a parent's automorphisms only when the parent
+    has a child in it, so a parent may be searched once per share. On more
+    than one CPU this forks, so call it from a process that runs no other
+    thread.
+
+    A duplicate is found at three costs. An automorphism of the parent that
+    maps a smaller subset to S makes the child of S isomorphic to one
+    decided before it, so within a share each parent's automorphisms are
+    searched once and only the least subset of each orbit is tried (the
+    degree test and the edge count hold on a whole orbit or on none of it).
+    Each child tried is refined once. If that refinement is discrete, it is
+    the child's one leaf, and its form is looked up among `seen`, the leaf
+    forms of the kept children found so far. Otherwise `_bucket_key` puts
+    the child in a bucket. The first child of a bucket is kept unsearched,
+    as pending. A later one is a duplicate when its first leaf form is in
+    `seen`, or is a leaf form (`_leaves`) of the bucket's pending child,
+    whose search adds its forms to `seen` and stops at that form; a pending
+    child whose search ends is no longer pending. A child kept then adds
+    all its leaf forms. Every labelling of a graph has the same leaf forms,
+    non-isomorphic graphs share none, and isomorphic graphs share a key,
+    so the key changes the work, never the result. The result is an
+    immutable tuple, so callers cannot alter the cache."""
+    if n < 0:
+        raise ValueError("n must be non-negative")
+    if n in _ENUM_CACHE:
+        return _ENUM_CACHE[n]
+    if n == 0:
+        return ((),)
+    if n == 1:
+        return ((0,),)
+    parents = enumerate_mask_graphs(n - 1)
+    jobs = job_count(len(parents))
+    shares = run_shares(jobs, lambda share: _step_share(parents, share, jobs))
+    kept = sorted(pair for pairs in shares for pair in pairs)
+    _ENUM_CACHE[n] = tuple(_child(parents[index], subset) for index, subset in kept)
     return _ENUM_CACHE[n]

@@ -4,6 +4,7 @@ import hashlib
 import json
 import os
 import random
+import re
 import types
 from pathlib import Path
 
@@ -13,6 +14,7 @@ import kempe
 import kempe.classify as classifier
 import kempe.harness as harness
 from kempe.classify import (
+    GraphClass,
     classify,
     delta_coloring_of_minus_e,
     find_edge_coloring,
@@ -62,6 +64,7 @@ from oracles import (
     reference_lemma_sweep,
 )
 from test_normalize import planted_class1_host
+from test_shares import assert_no_child_left, record_forks, use_cpus
 
 
 def test_enumeration_counts_small():
@@ -359,6 +362,54 @@ def test_corpus_pass_without_the_walk_is_unchanged(monkeypatch):
     assert len(walked[0]) == 26
 
 
+def test_corpus_pass_does_not_depend_on_the_cpus(monkeypatch):
+    """The last order dealt to 3 shares gives the critical tuple, in
+    corpus order, and the parity report of one process."""
+    results = []
+    for jobs in (1, 3):
+        monkeypatch.setattr(harness, "_CRITICAL_CACHE", {})
+        use_cpus(monkeypatch, jobs)
+        forks = record_forks(monkeypatch)
+        critical, parity = harness._corpus_pass(7)
+        assert len(forks) == jobs - 1
+        results.append(([g.edges() for g in critical], parity.to_dict()))
+    assert results[0] == results[1]
+    assert len(results[0][0]) == 26
+    assert_no_child_left()
+
+
+def test_corpus_pass_keeps_the_first_parity_failure(monkeypatch):
+    """Two Class 1 graphs of the last order fail parity, the later one in
+    share 0 and the earlier one in share 1 of 3: the report keeps the
+    earlier one's counterexample on 1 CPU and on 3."""
+    last = enumerate_mask_graphs(7)
+    class1 = [
+        i for i, masks in enumerate(last)
+        if any(masks) and classify(Graph.from_masks(masks)) is GraphClass.CLASS1
+    ]
+    early = next(i for i in class1[len(class1) // 2:] if i % 3 == 1)
+    late = early + 2
+    assert late in class1
+    planted = {last[early], last[late]}
+    check = harness.check_parity
+
+    def planted_failure(col):
+        if col.graph.adjacency_masks() in planted:
+            return failing("parity", col, color=1, missing_count=0)
+        return check(col)
+
+    monkeypatch.setattr(harness, "check_parity", planted_failure)
+    reports = []
+    for jobs in (1, 3):
+        monkeypatch.setattr(harness, "_CRITICAL_CACHE", {})
+        use_cpus(monkeypatch, jobs)
+        reports.append(harness._corpus_pass(7)[1])
+    assert reports[0].to_dict() == reports[1].to_dict()
+    assert not reports[0].passed
+    assert reports[0].counterexample["graph6"] == to_graph6(Graph.from_masks(last[early]))
+    assert_no_child_left()
+
+
 def test_every_class2_verdict_is_a_refutation(monkeypatch):
     """The walk can only answer yes: the pass's Class 2 verdicts, its
     graphs with edges less its parity-checked colorings, are exactly the
@@ -391,6 +442,7 @@ def test_every_class2_verdict_is_a_refutation(monkeypatch):
     monkeypatch.setattr(classifier, "kempe_walk", walking)
     monkeypatch.setattr(classifier, "find_edge_coloring", solving)
     monkeypatch.setattr(harness, "all_edges_critical", criticality)
+    use_cpus(monkeypatch, 1)  # a forked share's calls would not be recorded
     _, parity = harness._corpus_pass(7)
     walks, refuted = calls["pass"]
     with_edges = sum(1 for n in range(1, 8) for masks in enumerate_mask_graphs(n) if any(masks))
@@ -462,11 +514,6 @@ def relabelled(col: PartialEdgeColoring, gamma: tuple[int, ...]) -> PartialEdgeC
     for (u, v), c in col.colored_edges().items():
         out.color_edge((gamma[u], gamma[v]), c)
     return out
-
-
-def use_cpus(monkeypatch, jobs: int) -> None:
-    """Make the lemma sweep see `jobs` usable CPUs."""
-    monkeypatch.setattr(harness, "_usable_cpus", lambda: jobs)
 
 
 def record_checked(monkeypatch) -> list[PartialEdgeColoring]:
@@ -591,35 +638,6 @@ def test_lemma_sweep_checks_each_color_class_once(monkeypatch):
     assert len(checked) == 460
 
 
-def record_forks(monkeypatch) -> list[int]:
-    """Make `os.fork` record the pid of each child it starts."""
-    forks = []
-    fork = os.fork
-
-    def recording():
-        pid = fork()
-        if pid:
-            forks.append(pid)
-        return pid
-
-    monkeypatch.setattr(os, "fork", recording)
-    return forks
-
-
-def assert_no_child_left() -> None:
-    with pytest.raises(ChildProcessError):
-        os.waitpid(-1, os.WNOHANG)
-
-
-def test_usable_cpus(monkeypatch):
-    """The CPUs in this process's affinity set, or 1 where the OS keeps
-    none."""
-    if hasattr(os, "sched_getaffinity"):
-        assert harness._usable_cpus() == len(os.sched_getaffinity(0)) >= 1
-    monkeypatch.delattr(os, "sched_getaffinity", raising=False)
-    assert harness._usable_cpus() == 1
-
-
 @pytest.mark.parametrize("jobs", [2, 3])
 def test_forked_sweep_matches_one_process(monkeypatch, jobs):
     """Sweeping the graphs over `jobs` processes gives the reports and the
@@ -706,18 +724,19 @@ def test_a_failing_worker_names_its_graph(monkeypatch):
     use_cpus(monkeypatch, 2)
     with pytest.raises(RuntimeError, match="lemma sweep failed on") as info:
         lemma_sweep(corpus, seeds=2)
-    graph6 = str(info.value).split()[4].rstrip(":")
+    graph6 = re.search(r"RuntimeError: lemma sweep failed on (\S+)", str(info.value))[1]
     assert graph6 in {to_graph6(g) for g in corpus}
     assert f"planted failure on {graph6}" in str(info.value)
     assert_no_child_left()
 
 
 def test_a_failing_parent_share_stops_every_worker(monkeypatch):
+    corpus = delta_critical_corpus(7)
     fail_in(monkeypatch, in_parent=True)
     use_cpus(monkeypatch, 3)
     forks = record_forks(monkeypatch)
     with pytest.raises(ValueError, match="planted failure on"):
-        lemma_sweep(delta_critical_corpus(7), seeds=2)
+        lemma_sweep(corpus, seeds=2)
     assert len(forks) == 2
     assert_no_child_left()
 
@@ -725,49 +744,16 @@ def test_a_failing_parent_share_stops_every_worker(monkeypatch):
 def test_a_worker_that_dies_silently_is_an_error(monkeypatch):
     """A worker that ends without a message, as one killed would, fails
     the sweep with its wait status."""
-    monkeypatch.setattr(harness, "_share_message", lambda *args: os._exit(3))
+    parent, sweep = os.getpid(), harness._sweep_graph
+    monkeypatch.setattr(
+        harness,
+        "_sweep_graph",
+        lambda g, seeds: sweep(g, seeds) if os.getpid() == parent else os._exit(3),
+    )
     use_cpus(monkeypatch, 2)
-    with pytest.raises(RuntimeError, match="worker ended with wait status 768"):
+    with pytest.raises(RuntimeError, match="ended with wait status 768"):
         lemma_sweep(delta_critical_corpus(7), seeds=2)
     assert_no_child_left()
-
-
-def test_a_failed_fork_closes_its_pipe(monkeypatch):
-    """When `os.fork` fails for the second worker, the error leaves the
-    sweep, both ends of that worker's pipe are closed and the first worker
-    is reaped."""
-    corpus = delta_critical_corpus(7)
-    fork, calls = os.fork, []
-
-    def second_fails():
-        calls.append(None)
-        if len(calls) == 2:
-            raise OSError("planted fork failure")
-        return fork()
-
-    monkeypatch.setattr(os, "fork", second_fails)
-    use_cpus(monkeypatch, 3)
-    open_fds = len(os.listdir("/dev/fd"))
-    with pytest.raises(OSError, match="planted fork failure"):
-        lemma_sweep(corpus, seeds=2)
-    assert len(calls) == 2
-    assert len(os.listdir("/dev/fd")) == open_fds
-    assert_no_child_left()
-
-
-def test_an_orphaned_worker_stops_before_its_next_graph(monkeypatch):
-    """A worker whose parent is no longer the pid that forked it, as after
-    a parent killed by a signal, ends with status 1 and sweeps nothing."""
-    monkeypatch.setattr(harness, "_sweep_graph", lambda g, seeds: os._exit(2))
-    corpus = (complete_graph(3),)
-    pid = os.fork()
-    if pid == 0:
-        try:
-            harness._share_message(corpus, 2, [0], parent=-1)
-        finally:
-            os._exit(3)
-    _, status = os.waitpid(pid, 0)
-    assert os.waitstatus_to_exitcode(status) == 1
 
 
 @pytest.mark.parametrize(
@@ -777,11 +763,11 @@ def test_sweep_jobs(monkeypatch, cpus, graphs, jobs):
     """One process per usable CPU, up to one per graph and 8 in all."""
     seen = []
 
-    def recording(corpus, seeds, n):
-        seen.append(n)
-        return []
+    def recording(jobs, task):
+        seen.append(jobs)
+        return [task(j) for j in range(jobs)]
 
-    monkeypatch.setattr(harness, "_sweep_shares", recording)
+    monkeypatch.setattr(harness, "run_shares", recording)
     use_cpus(monkeypatch, cpus)
     lemma_sweep((complete_graph(3),) * graphs, seeds=2)
     assert seen == [jobs]

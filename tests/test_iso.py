@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import functools
+import os
 import random
 from collections import defaultdict
 from itertools import combinations
@@ -22,6 +23,8 @@ from kempe.iso import (
     masks_isomorphic,
     refinement_colors,
 )
+
+from test_shares import assert_no_child_left, record_forks, use_cpus
 
 
 def to_graph(G: nx.Graph) -> Graph:
@@ -372,14 +375,16 @@ def test_enumeration_makes_no_certificate_call(monkeypatch):
     monkeypatch.setattr(iso, "certificate", no_certificate)
     monkeypatch.setattr(iso, "refinement_colors", counted)
     monkeypatch.setattr(iso, "_ENUM_CACHE", {})
+    use_cpus(monkeypatch, 1)  # a forked share's calls would not be counted
     graphs = enumerate_mask_graphs(7)
     assert len(calls) == 4768
     assert set(certificates(graphs)) == expected
 
 
 def test_enumeration_searches_each_parent_once(monkeypatch):
-    """Each parent's automorphisms are searched once, for the orbits of its
-    neighbor subsets: 208 parents on 1..6 vertices for a cold n = 7."""
+    """In one process, each parent's automorphisms are searched once, for
+    the orbits of its neighbor subsets: 208 parents on 1..6 vertices for a
+    cold n = 7."""
     parents = []
     search = iso.automorphisms
 
@@ -389,11 +394,68 @@ def test_enumeration_searches_each_parent_once(monkeypatch):
 
     monkeypatch.setattr(iso, "automorphisms", counted)
     monkeypatch.setattr(iso, "_ENUM_CACHE", {})
+    use_cpus(monkeypatch, 1)  # a forked share's calls would not be counted
     assert len(enumerate_mask_graphs(7)) == 1044
     assert len(parents) == len(set(parents)) == 208
     assert set(parents) == {
         masks for n in range(1, 7) for masks in enumerate_mask_graphs(n)
     }
+
+
+@pytest.mark.parametrize("cpus", [2, 3, 8])
+def test_enumeration_does_not_depend_on_the_cpus(monkeypatch, cpus):
+    """Each step dealt by edge count to one share per CPU, up to one per
+    parent, gives the one-process tuple; step n forks one child per share
+    past the first."""
+    expected = [enumerate_mask_graphs(n) for n in range(8)]
+    monkeypatch.setattr(iso, "_ENUM_CACHE", {})
+    use_cpus(monkeypatch, cpus)
+    forks = record_forks(monkeypatch)
+    assert [enumerate_mask_graphs(n) for n in range(8)] == expected
+    assert len(forks) == sum(min(cpus, 8, len(expected[n - 1])) - 1 for n in range(2, 8))
+    assert_no_child_left()
+
+
+def test_enumeration_searches_each_parent_once_per_share(monkeypatch, tmp_path):
+    """Over 3 shares, no process searches a parent twice, and every parent
+    is searched by some share. The calls are appended to a file, which
+    every forked share writes too."""
+    log = tmp_path / "searched"
+    search = iso.automorphisms
+
+    def logged(masks):
+        with open(log, "a") as out:
+            out.write(f"{os.getpid()} {masks}\n")
+        return search(masks)
+
+    monkeypatch.setattr(iso, "automorphisms", logged)
+    monkeypatch.setattr(iso, "_ENUM_CACHE", {})
+    use_cpus(monkeypatch, 3)
+    assert len(enumerate_mask_graphs(7)) == 1044
+    calls = log.read_text().splitlines()
+    assert len(calls) == len(set(calls))
+    assert {call.split(" ", 1)[1] for call in calls} == {
+        str(masks) for n in range(1, 7) for masks in enumerate_mask_graphs(n)
+    }
+    assert len({call.split()[0] for call in calls}) > 1
+    assert_no_child_left()
+
+
+def test_a_failing_enumeration_share_raises_its_traceback(monkeypatch):
+    parent, refine = os.getpid(), iso.refinement_colors
+
+    def failing_in_children(masks, colors=None):
+        if os.getpid() != parent:
+            raise ValueError("planted failure in a forked share")
+        return refine(masks, colors)
+
+    monkeypatch.setattr(iso, "refinement_colors", failing_in_children)
+    monkeypatch.setattr(iso, "_ENUM_CACHE", {})
+    use_cpus(monkeypatch, 2)
+    with pytest.raises(RuntimeError, match="forked share 1 failed") as info:
+        enumerate_mask_graphs(5)
+    assert "ValueError: planted failure in a forked share" in str(info.value)
+    assert_no_child_left()
 
 
 def test_enumeration_does_not_depend_on_the_bucket_key(monkeypatch):
