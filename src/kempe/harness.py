@@ -23,7 +23,7 @@ from .classify import (
     is_delta_critical,
     walk_then_search,
 )
-from .coloring import PartialEdgeColoring, parse_coloring
+from .coloring import PartialEdgeColoring
 from .graph import (
     Graph,
     SplitSpec,
@@ -90,23 +90,25 @@ def _classify_order(
     indices: Iterable[int],
     below: dict[Masks, bytes],
     rng: random.Random,
-    colors: dict[Masks, bytes] | None,
-) -> tuple[VerificationReport | None, int | None, list[int]]:
+    last: bool,
+) -> tuple[VerificationReport | None, int | None, list[int], dict[Masks, bytes] | None]:
     """The corpus pass over the graphs at `indices` of `level`, the graphs
     of one order n from `enumerate_mask_graphs`: the fold of their parity
     reports in order (None when there is none), the index of the first
-    failing one (None when none fails), and the indices of the
-    Delta-critical graphs.
+    failing one (None when none fails), the indices of the Delta-critical
+    graphs, and the colorings found, which seed the next order (None when
+    this is the `last` order).
 
     A graph on n vertices is its parent, listed on n - 1 vertices, plus
     vertex n - 1, so `walk_then_search` colors it from the parent's
     Delta-coloring, looked up in `below` as one color byte per edge in
     `g.edges()` order, or from the empty coloring when the parent is
-    Class 2. Each coloring found is stored the same way in `colors` when
-    that is given. Each `Graph` is built when its masks are reached, so
-    the pass never holds a level of them."""
+    Class 2. Each coloring found is kept the same way. Each `Graph` is
+    built when its masks are reached, so the pass never holds a level of
+    them."""
     new = len(level[0]) - 1
     fold, failure, critical = None, None, []
+    colors: dict[Masks, bytes] | None = None if last else {}
     for i in indices:
         masks = level[i]
         g = Graph.from_masks(masks)
@@ -126,7 +128,7 @@ def _classify_order(
         if failure is None and not rep.passed:
             failure = i
         fold = rep if fold is None else fold.merge(rep)
-    return fold, failure, critical
+    return fold, failure, critical, colors
 
 
 def _corpus_pass(n_max: int) -> tuple[tuple[Graph, ...], VerificationReport]:
@@ -137,45 +139,42 @@ def _corpus_pass(n_max: int) -> tuple[tuple[Graph, ...], VerificationReport]:
     every Class 2 verdict, comes from the exhaustive search or its edge
     count.
 
-    The orders below n_max run here, in one pass whose colorings seed the
-    next order. The graphs of order n_max are dealt by stride (index
-    j::jobs) to `shares.job_count` shares: share 0 runs here and each
-    other share in a forked child (`shares.run_shares`), each continuing
-    the pass's generator from its state at the fork. The critical tuple is
-    rebuilt in corpus order from the shares' indices. A parity report's
-    details are numeric, so the folds merge in any order but for the first
-    counterexample, and merging the shares' folds by their first failure
-    keeps the first of the corpus order. On one CPU the generator's draws
-    are those of one pass over every order. On more, a walk at n_max may
-    find another Delta-coloring, so walk and solver counts may differ, but
-    the results cannot: a passing parity fold sums `hypothesis_met` and
-    `colors`, and criticality is exact. On more than one CPU this forks,
-    so call it from a process that runs no other thread."""
+    The graphs of each order are dealt by stride (index j::jobs) to
+    `shares.job_count` shares: share 0 runs here and each other share in a
+    forked child (`shares.run_shares`), each continuing the pass's
+    generator from its state at the fork. The shares' colorings seed the
+    next order, and its critical tuple is rebuilt in corpus order from
+    their indices. A parity report's details are numeric, so the folds
+    merge in any order but for the first counterexample, and merging each
+    order's folds by their first failure keeps the first of the corpus
+    order. On one CPU the generator's draws are those of one pass over
+    every order. On more, a walk may find another Delta-coloring, so walk
+    and solver counts may differ, but the results cannot: a passing parity
+    fold sums `hypothesis_met` and `colors`, and criticality is exact. On
+    more than one CPU this forks, so call it from a process that runs no
+    other thread."""
     _check_enumeration_budget(n_max)
     if n_max not in _CRITICAL_CACHE:
         rng = random.Random(0)
         critical: list[Graph] = []
         folds: list[VerificationReport | None] = []
         below: dict[Masks, bytes] = {}  # masks -> color bytes, one order down
-        for n in range(1, n_max):
-            level, colors = enumerate_mask_graphs(n), {}
-            fold, _, found = _classify_order(level, range(len(level)), below, rng, colors)
-            folds.append(fold)
+        for n in range(1, n_max + 1):
+            level = enumerate_mask_graphs(n)
+            jobs = job_count(len(level))
+
+            def share(j: int) -> tuple:
+                indices = units(range(j, len(level), jobs))
+                return _classify_order(level, indices, below, rng, n == n_max)
+
+            shares = run_shares(jobs, share)
+            shares.sort(key=lambda r: len(level) if r[1] is None else r[1])
+            below = {}
+            for fold, _, _, colors in shares:
+                folds.append(fold)
+                below.update(colors or {})
+            found = sorted(i for _, _, indices, _ in shares for i in indices)
             critical.extend(Graph.from_masks(level[i]) for i in found)
-            below = colors
-        last = enumerate_mask_graphs(n_max)
-        jobs = job_count(len(last))
-
-        def share(j: int) -> list:
-            indices = units(range(j, len(last), jobs))
-            fold, failure, found = _classify_order(last, indices, below, rng, None)
-            return [fold and fold.to_dict(), failure, found]
-
-        shares = run_shares(jobs, share)
-        shares.sort(key=lambda result: len(last) if result[1] is None else result[1])
-        folds.extend(fold and VerificationReport(**fold) for fold, _, _ in shares)
-        found = sorted(i for _, _, indices in shares for i in indices)
-        critical.extend(Graph.from_masks(last[i]) for i in found)
         parity = merge_reports(filter(None, folds), "parity")
         _CRITICAL_CACHE[n_max] = tuple(critical), parity
     return _CRITICAL_CACHE[n_max]
@@ -487,52 +486,32 @@ def lemma_sweep(
     edge count) to `shares.job_count` shares, share 0 here and each other
     share in a forked child (`shares.run_shares`), and folded in corpus
     order. Merging reports is associative, so the result does not depend
-    on the number of CPUs. A graph whose sweep raises in a forked share
-    fails the sweep with a `RuntimeError` that names its graph6. On more
-    than one CPU this forks, so call it from a process that runs no other
-    thread."""
+    on the number of CPUs. A graph whose sweep raises fails the sweep with
+    a `RuntimeError` that names its graph6. On more than one CPU this
+    forks, so call it from a process that runs no other thread."""
     jobs = job_count(len(corpus))
     order = sorted(range(len(corpus)), key=lambda i: -corpus[i].edge_count())
 
-    def share(j: int) -> list:
-        """(index, `_sweep_graph` result) of each graph of share j; in a
-        forked share, [index, report dicts, mined paths] instead, each
-        path as [edge, seed, path vertices, serialized coloring]."""
+    def share(j: int) -> list[tuple[int, _GraphResult]]:
+        """(index, `_sweep_graph` result) of each graph of share j."""
         graphs = []
         for i in units(order[j::jobs]):
-            if not j:
-                graphs.append((i, _sweep_graph(corpus[i], seeds)))
-                continue
             try:
-                reports, instances = _sweep_graph(corpus[i], seeds)
+                graphs.append((i, _sweep_graph(corpus[i], seeds)))
             except Exception as exc:
                 graph6 = to_graph6(corpus[i])
                 raise RuntimeError(f"lemma sweep failed on {graph6}") from exc
-            k5 = [
-                [e, seed, kp.vertices, col.serialize()]
-                for _, e, seed, kp, col in instances
-            ]
-            graphs.append([i, [rep.to_dict() for rep in reports], k5])
         return graphs
 
-    here, *forked = run_shares(jobs, share)
-    results: list = [None] * len(corpus)  # index -> its _GraphResult
-    for i, result in here:
-        results[i] = result
-    for graphs in forked:
-        for i, reports, k5 in graphs:
-            g = corpus[i]
-            paths = [
-                (g, tuple(e), s, KiersteadPath(tuple(vs)), parse_coloring(g, text))
-                for e, s, vs, text in k5
-            ]
-            results[i] = [VerificationReport(**rep) for rep in reports], paths
+    results = dict(graph for graphs in run_shares(jobs, share) for graph in graphs)
     acc: dict[str, VerificationReport] = {}
     k5_instances: list[K5Instance] = []
-    for reports, instances in results:
+    for i, g in enumerate(corpus):
+        reports, instances = results[i]
         for rep in reports:
             _accumulate(acc, rep)
-        k5_instances.extend(instances)
+        # a forked share's paths come back on a copy of the graph
+        k5_instances.extend((g, *rest) for _, *rest in instances)
     for name in SWEEP_CHECKS:
         if name not in acc:
             acc[name] = vacuous(name, reason="no-instances-in-corpus")

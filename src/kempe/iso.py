@@ -234,13 +234,15 @@ def _child(parent: Masks, subset: int) -> Masks:
     )
 
 
-def _step_share(parents: tuple[Masks, ...], share: int, jobs: int) -> list[list[int]]:
-    """The [parent index, subset] of each child that the step from
+def _step_share(
+    parents: tuple[Masks, ...], share: int, jobs: int
+) -> list[tuple[int, int]]:
+    """The (parent index, subset) of each child that the step from
     `parents` keeps among the children whose edge count is `share` mod
     `jobs`, in parent-then-subset order (see `enumerate_mask_graphs`)."""
     new = len(parents[0])
     n = new + 1
-    kept: list[list[int]] = []
+    kept: list[tuple[int, int]] = []
     seen: set[Masks] = set()
     # bucket key -> its first child while that child's search is unfinished
     pending: dict[int, Masks | None] = {}
@@ -271,12 +273,12 @@ def _step_share(parents: tuple[Masks, ...], share: int, jobs: int) -> list[list[
             if len(set(root)) == n:
                 form = _form(child, root)
                 if form not in seen:
-                    kept.append([index, subset])
+                    kept.append((index, subset))
                     seen.add(form)
                 continue
             key = _bucket_key(child, root)
             if key not in pending:
-                kept.append([index, subset])
+                kept.append((index, subset))
                 pending[key] = child
                 continue
             leaves = _leaves(child, [], root)
@@ -290,7 +292,7 @@ def _step_share(parents: tuple[Masks, ...], share: int, jobs: int) -> list[list[
                 else:
                     pending[key] = None
             if first not in seen:
-                kept.append([index, subset])
+                kept.append((index, subset))
                 seen.add(first)
                 seen.update(leaves)
     return kept

@@ -1,15 +1,17 @@
 """One stage's work dealt to forked shares: the package's only fork.
 
-Each enumeration step, the corpus pass's last order and the lemma sweep
-deal their units of work (parents, graphs) to `job_count` shares. `run_shares` runs share 0 in this process and each other share in
-a forked child, which sends its result back as JSON through a pipe. With
-one CPU there is one share and nothing forks. A stage that forks must be
-called from a process that runs no other thread.
+Each enumeration step, each order of the corpus pass and the lemma sweep
+deal their units of work to `job_count` shares: an enumeration step
+splits the children it tries by edge count, the corpus pass and the
+sweep split their graphs. `run_shares` runs share 0 in this process and
+each other share in a forked child, which pickles its result back
+through a pipe. With one CPU there is one share and nothing forks. A
+stage that forks must be called from a process that runs no other
+thread.
 """
 
 from __future__ import annotations
 
-import json
 import os
 import signal
 from typing import Any, BinaryIO, Callable, Iterable, Iterator, TypeVar
@@ -54,15 +56,19 @@ def units(items: Iterable[T]) -> Iterator[T]:
 def run_shares(jobs: int, task: Callable[[int], Any]) -> list:
     """[task(0), ..., task(jobs - 1)], in share order: task(0) runs in this
     process and task(j) in forked child j, so one job forks nothing.
-    Share 0's result comes back as it is. Every other task must return a
-    JSON value, which comes back parsed, lists in place of tuples. A child
-    writes its result as JSON to a pipe and ends with `os._exit`, so it
-    never flushes this process's buffered output or runs its exit
-    handlers. A child whose task raises makes this raise `RuntimeError`
-    with the child's traceback. When this process leaves by an exception,
-    its own or a child's, it kills and reaps every child; when a signal
-    kills it, each child ends before its next unit (`units`)."""
+    Share 0's result comes back as it is, and every other share's as an
+    equal copy: a child pickles its result to a pipe and ends with
+    `os._exit`, so it never flushes this process's buffered output or
+    runs its exit handlers. A child whose task raises makes this raise
+    `RuntimeError` with the child's traceback, sent as text, since an
+    exception whose constructor takes extra arguments cannot be
+    unpickled; so does a child that ends without a result this process
+    can unpickle. When this process leaves by an exception, its own or a
+    child's, it kills and reaps every child; when a signal kills it, each
+    child ends before its next unit (`units`)."""
     global _parent
+    import pickle  # here, so a run that deals no shares never loads it
+
     children: list[tuple[int, BinaryIO]] = []  # (pid, read end) of unreaped children
     parent = os.getpid()
     try:
@@ -85,8 +91,8 @@ def run_shares(jobs: int, task: Callable[[int], Any]) -> list:
                         import traceback  # only a failing share pays for the import
 
                         message = {"error": traceback.format_exc()}
-                    with open(w, "w") as out:
-                        out.write(json.dumps(message))
+                    with open(w, "wb") as out:
+                        out.write(pickle.dumps(message))
                     code = 0 if "result" in message else 1
                 finally:
                     os._exit(code)
@@ -100,8 +106,8 @@ def run_shares(jobs: int, task: Callable[[int], Any]) -> list:
             children.pop(0)
             pipe.close()
             try:
-                message = json.loads(data)
-            except ValueError:  # the child died before it finished writing
+                message = pickle.loads(data)
+            except Exception:  # ended mid-write, or a result that fails to load
                 message = {}
             j = len(results)
             if "error" in message:

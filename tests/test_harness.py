@@ -102,7 +102,10 @@ def test_enumeration_budget(monkeypatch):
 
 def test_corpus_pass_streams(monkeypatch):
     """The corpus pass goes one order at a time: the graphs of order n are
-    classified after order n is enumerated and before order n + 1 is."""
+    classified after order n is enumerated and before order n + 1 is. The
+    pass is pinned to one process: a forked share's calls are made in its
+    own memory and would not be recorded here."""
+    use_cpus(monkeypatch, 1)
     events = []
 
     def recorded(n):
@@ -363,7 +366,7 @@ def test_corpus_pass_without_the_walk_is_unchanged(monkeypatch):
 
 
 def test_corpus_pass_does_not_depend_on_the_cpus(monkeypatch):
-    """The last order dealt to 3 shares gives the critical tuple, in
+    """Every order dealt to up to 3 shares gives the critical tuple, in
     corpus order, and the parity report of one process."""
     results = []
     for jobs in (1, 3):
@@ -371,7 +374,8 @@ def test_corpus_pass_does_not_depend_on_the_cpus(monkeypatch):
         use_cpus(monkeypatch, jobs)
         forks = record_forks(monkeypatch)
         critical, parity = harness._corpus_pass(7)
-        assert len(forks) == jobs - 1
+        levels = [len(enumerate_mask_graphs(n)) for n in range(1, 8)]
+        assert len(forks) == sum(min(jobs, size) - 1 for size in levels)
         results.append(([g.edges() for g in critical], parity.to_dict()))
     assert results[0] == results[1]
     assert len(results[0][0]) == 26
@@ -668,7 +672,7 @@ def test_forked_sweep_ships_mined_paths(monkeypatch):
     """The planted host and two disjoint copies of it, each with the
     overlap-3 path planted on every seed of its root edge: over two
     processes the smaller graph goes to the forked worker, which ships its
-    mined paths back as text. They are rebuilt on the corpus graph itself
+    mined paths back pickled. They are put back on the corpus graph itself
     and match the reference sweep."""
     planted, path = planted_class1_host()
     g = planted.graph
@@ -735,8 +739,10 @@ def test_a_failing_parent_share_stops_every_worker(monkeypatch):
     fail_in(monkeypatch, in_parent=True)
     use_cpus(monkeypatch, 3)
     forks = record_forks(monkeypatch)
-    with pytest.raises(ValueError, match="planted failure on"):
+    with pytest.raises(RuntimeError, match="lemma sweep failed on") as info:
         lemma_sweep(corpus, seeds=2)
+    assert isinstance(info.value.__cause__, ValueError)
+    assert "planted failure on" in str(info.value.__cause__)
     assert len(forks) == 2
     assert_no_child_left()
 

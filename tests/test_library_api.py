@@ -15,6 +15,8 @@ import kempe
 # name -> why it stays without a library caller
 KEPT = {
     "masks_isomorphic": "a benchmark LAYERS name and an isomorphism test reference",
+    "parse_coloring": "the documented inverse of PartialEdgeColoring.serialize, "
+    "the text that counterexamples and `color --out` carry",
     "replay_proof_script": "kept by the ROADMAP for its documented, tested replay",
 }
 

@@ -3,11 +3,13 @@
 from __future__ import annotations
 
 import os
+import pickle
 import time
 
 import pytest
 
 import kempe.shares as shares
+from kempe.report import VerificationReport, passing
 from kempe.shares import run_shares, units
 
 
@@ -46,14 +48,33 @@ def test_usable_cpus(monkeypatch):
 
 
 def test_results_come_back_in_share_order(monkeypatch):
-    """Share 0's result is returned as it is, every other share's as
-    parsed JSON."""
+    """Share 0's result is returned as it is, every other share's as an
+    equal copy: tuples stay tuples, and a report comes back a report."""
     forks = record_forks(monkeypatch)
-    results = run_shares(3, lambda j: {"share": j, "pid": os.getpid(), "pair": (j, j)})
+
+    def task(j):
+        report = passing("check", met=j, pair=[j, j])
+        return {"share": j, "pid": os.getpid(), "pair": (j, j), "report": report}
+
+    results = run_shares(3, task)
     assert len(forks) == 2
     assert [r["share"] for r in results] == [0, 1, 2]
     assert [r["pid"] for r in results] == [os.getpid(), *forks]
-    assert [r["pair"] for r in results] == [(0, 0), [1, 1], [2, 2]]
+    assert [r["pair"] for r in results] == [(0, 0), (1, 1), (2, 2)]
+    for j, r in enumerate(results):
+        assert type(r["report"]) is VerificationReport
+        assert r["report"] == passing("check", met=j, pair=[j, j])
+    assert_no_child_left()
+
+
+def test_a_result_written_in_part_is_an_error(monkeypatch):
+    """A child that writes only part of its pickled result and then ends
+    with status 0 fails the stage with a `RuntimeError` naming its share,
+    not with the unpickling error."""
+    dumps = pickle.dumps
+    monkeypatch.setattr(pickle, "dumps", lambda obj: dumps(obj)[:-4])
+    with pytest.raises(RuntimeError, match="forked share 1 ended with wait status 0$"):
+        run_shares(2, lambda j: list(range(100)))
     assert_no_child_left()
 
 
