@@ -353,16 +353,14 @@ def _search(
 
 
 def walk_then_search(
-    g: Graph, k: int, rng: random.Random, assign: dict[Edge, int] | None = None
+    g: Graph, k: int, rng: random.Random
 ) -> PartialEdgeColoring | None:
     """A proper k-coloring of g (k >= Delta), or None when none exists:
-    `kempe_walk` extends the proper partial k-coloring `assign` (empty by
-    default; changed in place) over the rest of `g.edges()`, in that order,
-    in one step per queued edge plus 8 * k, and `find_edge_coloring`
+    `kempe_walk` colors `g.edges()`, in that order, from the empty
+    coloring in one step per edge plus 8 * k, and `find_edge_coloring`
     answers only when it gives up, so every None is a refutation."""
-    assign = {} if assign is None else assign
-    queue = [e for e in g.edges() if e not in assign]
-    col = kempe_walk(g, k, assign, queue, rng, len(queue) + 8 * k)
+    edges = g.edges()
+    col = kempe_walk(g, k, {}, edges, rng, len(edges) + 8 * k)
     return col if col is not None else find_edge_coloring(g, k)
 
 

@@ -85,98 +85,67 @@ def enumerate_graphs(n: int) -> tuple[Graph, ...]:
 _CRITICAL_CACHE: dict[int, tuple[tuple[Graph, ...], VerificationReport]] = {}
 
 
-def _classify_order(
-    level: tuple[Masks, ...],
-    indices: Iterable[int],
-    below: dict[Masks, bytes],
-    rng: random.Random,
-    last: bool,
-) -> tuple[VerificationReport | None, int | None, list[int], dict[Masks, bytes] | None]:
-    """The corpus pass over the graphs at `indices` of `level`, the graphs
-    of one order n from `enumerate_mask_graphs`: the fold of their parity
-    reports in order (None when there is none), the index of the first
-    failing one (None when none fails), the indices of the Delta-critical
-    graphs, and the colorings found, which seed the next order (None when
-    this is the `last` order).
+def _classify_graphs(
+    graphs: tuple[Masks, ...], indices: Iterable[int]
+) -> tuple[VerificationReport | None, int | None, list[int]]:
+    """The corpus pass over the graphs at `indices` of `graphs`: the fold
+    of their parity reports in order (None when there is none), the index
+    of the first failing one (None when none fails), and the indices of
+    the Delta-critical graphs.
 
-    A graph on n vertices is its parent, listed on n - 1 vertices, plus
-    vertex n - 1, so `walk_then_search` colors it from the parent's
-    Delta-coloring, looked up in `below` as one color byte per edge in
-    `g.edges()` order, or from the empty coloring when the parent is
-    Class 2. Each coloring found is kept the same way. Each `Graph` is
-    built when its masks are reached, so the pass never holds a level of
-    them."""
-    new = len(level[0]) - 1
+    `walk_then_search` colors graph i from the empty coloring with a
+    generator of its own, `random.Random(i)`, so its coloring does not
+    depend on which graphs came before it. Each `Graph` is built when its
+    masks are reached, so the pass never holds a level of them."""
     fold, failure, critical = None, None, []
-    colors: dict[Masks, bytes] | None = None if last else {}
     for i in indices:
-        masks = level[i]
-        g = Graph.from_masks(masks)
-        edges = g.edges()
-        if not edges:
+        g = Graph.from_masks(graphs[i])
+        if not g.edge_count():
             continue
-        parent = below.get(tuple(m & ~(1 << new) for m in masks[:-1]), b"")
-        assign = dict(zip([e for e in edges if e[1] != new], parent))
-        col = walk_then_search(g, g.max_degree(), rng, assign)
+        col = walk_then_search(g, g.max_degree(), random.Random(i))
         if col is None:
             if g.is_connected() and all_edges_critical(g):
                 critical.append(i)
             continue
-        if colors is not None:
-            colors[masks] = col.color_bytes(edges)
         rep = check_parity(col)
         if failure is None and not rep.passed:
             failure = i
         fold = rep if fold is None else fold.merge(rep)
-    return fold, failure, critical, colors
+    return fold, failure, critical
 
 
 def _corpus_pass(n_max: int) -> tuple[tuple[Graph, ...], VerificationReport]:
-    """Classify each enumerated graph with edges once, one order at a
-    time (`_classify_order`): a Delta-coloring goes to the parity check; a
-    graph with none is Class 2, so a connected one only needs its edges
-    tested for criticality. The budget is checked at once. Every "no", so
-    every Class 2 verdict, comes from the exhaustive search or its edge
-    count.
+    """Classify each enumerated graph with edges once (`_classify_graphs`):
+    a Delta-coloring goes to the parity check; a graph with none is Class
+    2, so a connected one only needs its edges tested for criticality. The
+    budget is checked at once. Every "no", so every Class 2 verdict, comes
+    from the exhaustive search or its edge count.
 
-    The graphs of each order are dealt by stride (index j::jobs) to
-    `shares.job_count` shares: share 0 runs here and each other share in a
-    forked child (`shares.run_shares`), each continuing the pass's
-    generator from its state at the fork. The shares' colorings seed the
-    next order, and its critical tuple is rebuilt in corpus order from
-    their indices. A parity report's details are numeric, so the folds
-    merge in any order but for the first counterexample, and merging each
-    order's folds by their first failure keeps the first of the corpus
-    order. On one CPU the generator's draws are those of one pass over
-    every order. On more, a walk may find another Delta-coloring, so walk
-    and solver counts may differ, but the results cannot: a passing parity
-    fold sums `hypothesis_met` and `colors`, and criticality is exact. On
-    more than one CPU this forks, so call it from a process that runs no
-    other thread."""
+    The graphs of orders 1..n_max, in enumeration order, are dealt by
+    stride (index j::jobs) to `shares.job_count` shares: share 0 runs here
+    and each other share in a forked child (`shares.run_shares`), in one
+    round for the whole pass. The critical tuple is rebuilt in corpus
+    order from the shares' indices. A parity report's details are numeric,
+    so the folds merge in any order but for the first counterexample, and
+    merging them by their first failure keeps the first of the corpus
+    order. Each graph is walked with its own seed, so every coloring, and
+    with it every count and counterexample, is the same on any number of
+    CPUs. On more than one CPU this forks, so call it from a process that
+    runs no other thread."""
     _check_enumeration_budget(n_max)
     if n_max not in _CRITICAL_CACHE:
-        rng = random.Random(0)
-        critical: list[Graph] = []
-        folds: list[VerificationReport | None] = []
-        below: dict[Masks, bytes] = {}  # masks -> color bytes, one order down
-        for n in range(1, n_max + 1):
-            level = enumerate_mask_graphs(n)
-            jobs = job_count(len(level))
+        graphs = tuple(m for n in range(1, n_max + 1) for m in enumerate_mask_graphs(n))
+        jobs = job_count(len(graphs))
 
-            def share(j: int) -> tuple:
-                indices = units(range(j, len(level), jobs))
-                return _classify_order(level, indices, below, rng, n == n_max)
+        def share(j: int) -> tuple:
+            return _classify_graphs(graphs, units(range(j, len(graphs), jobs)))
 
-            shares = run_shares(jobs, share)
-            shares.sort(key=lambda r: len(level) if r[1] is None else r[1])
-            below = {}
-            for fold, _, _, colors in shares:
-                folds.append(fold)
-                below.update(colors or {})
-            found = sorted(i for _, _, indices, _ in shares for i in indices)
-            critical.extend(Graph.from_masks(level[i]) for i in found)
-        parity = merge_reports(filter(None, folds), "parity")
-        _CRITICAL_CACHE[n_max] = tuple(critical), parity
+        shares = run_shares(jobs, share)
+        shares.sort(key=lambda r: len(graphs) if r[1] is None else r[1])
+        parity = merge_reports(filter(None, (fold for fold, _, _ in shares)), "parity")
+        found = sorted(i for _, _, indices in shares for i in indices)
+        critical = tuple(Graph.from_masks(graphs[i]) for i in found)
+        _CRITICAL_CACHE[n_max] = critical, parity
     return _CRITICAL_CACHE[n_max]
 
 

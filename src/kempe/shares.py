@@ -1,9 +1,9 @@
 """One stage's work dealt to forked shares: the package's only fork.
 
-Each enumeration step, each order of the corpus pass and the lemma sweep
-deal their units of work to `job_count` shares: an enumeration step
-splits the children it tries by edge count, the corpus pass and the
-sweep split their graphs. `run_shares` runs share 0 in this process and
+Each enumeration step, the corpus pass and the lemma sweep deal their
+units of work to `job_count` shares: an enumeration step splits the
+children it tries by edge count, the corpus pass the graphs of every
+order in one round, and the sweep its graphs. `run_shares` runs share 0 in this process and
 each other share in a forked child, which pickles its result back
 through a pipe. With one CPU there is one share and nothing forks. A
 stage that forks must be called from a process that runs no other

@@ -19,6 +19,7 @@ from kempe.classify import (
     delta_coloring_of_minus_e,
     find_edge_coloring,
     vizing_plus_one_coloring,
+    walk_then_search,
 )
 from kempe.coloring import PartialEdgeColoring
 from kempe.graph import (
@@ -100,32 +101,29 @@ def test_enumeration_budget(monkeypatch):
     assert orders == []  # refused at once, before any graph is enumerated
 
 
-def test_corpus_pass_streams(monkeypatch):
-    """The corpus pass goes one order at a time: the graphs of order n are
-    classified after order n is enumerated and before order n + 1 is. The
-    pass is pinned to one process: a forked share's calls are made in its
-    own memory and would not be recorded here."""
-    use_cpus(monkeypatch, 1)
-    events = []
-
-    def recorded(n):
-        events.append(("enumerate", n))
-        return enumerate_mask_graphs(n)
-
+def test_each_corpus_graph_is_colored_on_its_own(monkeypatch):
+    """A graph's walk has a generator of its own: one share's graphs of
+    the n <= 7 pass, classified forward and in reverse, get the same
+    parity coloring each, the same fold and the same critical graphs."""
+    graphs = tuple(m for n in range(1, 8) for m in enumerate_mask_graphs(n))
     check = harness.check_parity
 
-    def checked(col):
-        events.append(("parity", col.graph.n))
-        return check(col)
+    def classified(indices):
+        colorings = {}
 
-    monkeypatch.setattr(harness, "_CRITICAL_CACHE", {})
-    monkeypatch.setattr(harness, "enumerate_mask_graphs", recorded)
-    monkeypatch.setattr(harness, "check_parity", checked)
-    delta_critical_corpus(6)
-    assert [n for kind, n in events if kind == "enumerate"] == list(range(1, 7))
-    assert [n for _, n in events] == sorted(n for _, n in events)
-    for n in range(2, 7):
-        assert events.index(("enumerate", n)) < events.index(("parity", n))
+        def recorded(col):
+            colorings[col.graph.adjacency_masks()] = col.serialize()
+            return check(col)
+
+        monkeypatch.setattr(harness, "check_parity", recorded)
+        fold, failure, critical = harness._classify_graphs(graphs, indices)
+        return colorings, fold.to_dict(), failure, sorted(critical)
+
+    indices = range(1, len(graphs), 3)
+    forward = classified(indices)
+    assert classified(indices[::-1]) == forward
+    colorings, _, failure, critical = forward
+    assert len(colorings) > 300 and failure is None and critical
 
 
 def test_enumerated_graphs_are_their_masks():
@@ -366,16 +364,17 @@ def test_corpus_pass_without_the_walk_is_unchanged(monkeypatch):
 
 
 def test_corpus_pass_does_not_depend_on_the_cpus(monkeypatch):
-    """Every order dealt to up to 3 shares gives the critical tuple, in
-    corpus order, and the parity report of one process."""
+    """The graphs of every order dealt to up to 3 shares, in one round of
+    forks, give the critical tuple, in corpus order, and the parity report
+    of one process."""
     results = []
     for jobs in (1, 3):
         monkeypatch.setattr(harness, "_CRITICAL_CACHE", {})
         use_cpus(monkeypatch, jobs)
         forks = record_forks(monkeypatch)
         critical, parity = harness._corpus_pass(7)
-        levels = [len(enumerate_mask_graphs(n)) for n in range(1, 8)]
-        assert len(forks) == sum(min(jobs, size) - 1 for size in levels)
+        total = sum(len(enumerate_mask_graphs(n)) for n in range(1, 8))
+        assert len(forks) == min(jobs, total) - 1
         results.append(([g.edges() for g in critical], parity.to_dict()))
     assert results[0] == results[1]
     assert len(results[0][0]) == 26
@@ -383,22 +382,36 @@ def test_corpus_pass_does_not_depend_on_the_cpus(monkeypatch):
 
 
 def test_corpus_pass_keeps_the_first_parity_failure(monkeypatch):
-    """Two Class 1 graphs of the last order fail parity, the later one in
-    share 0 and the earlier one in share 1 of 3: the report keeps the
-    earlier one's counterexample on 1 CPU and on 3."""
-    last = enumerate_mask_graphs(7)
+    """Two Class 1 graphs of order 7 fail parity, the later one in share 0
+    and the earlier one in a forked share of 3: the report keeps the
+    earlier one's counterexample, with the same coloring, on 1 CPU and
+    on 3. The earlier graph's walk draws on its generator (seeds 0 and 1
+    color it differently), so its coloring shows that a graph is colored
+    the same whichever graphs its share walked before it."""
+    graphs = [m for n in range(1, 8) for m in enumerate_mask_graphs(n)]
+    first = len(graphs) - len(enumerate_mask_graphs(7))
     class1 = [
-        i for i, masks in enumerate(last)
-        if any(masks) and classify(Graph.from_masks(masks)) is GraphClass.CLASS1
+        i for i in range(first, len(graphs))
+        if any(graphs[i]) and classify(Graph.from_masks(graphs[i])) is GraphClass.CLASS1
     ]
-    early = next(i for i in class1[len(class1) // 2:] if i % 3 == 1)
+
+    def walked(i, seed):
+        g = Graph.from_masks(graphs[i])
+        return walk_then_search(g, g.max_degree(), random.Random(seed)).serialize()
+
+    early = next(
+        i for i in class1[len(class1) // 2:]
+        if i % 3 == 1 and i + 2 in class1 and walked(i, 0) != walked(i, 1)
+    )
     late = early + 2
-    assert late in class1
-    planted = {last[early], last[late]}
+    planted = {graphs[early], graphs[late]}
     check = harness.check_parity
+    checked_here = []  # a forked share's calls are made in its own memory
 
     def planted_failure(col):
-        if col.graph.adjacency_masks() in planted:
+        masks = col.graph.adjacency_masks()
+        if masks in planted:
+            checked_here.append(masks)
             return failing("parity", col, color=1, missing_count=0)
         return check(col)
 
@@ -407,10 +420,14 @@ def test_corpus_pass_keeps_the_first_parity_failure(monkeypatch):
     for jobs in (1, 3):
         monkeypatch.setattr(harness, "_CRITICAL_CACHE", {})
         use_cpus(monkeypatch, jobs)
+        checked_here.clear()
         reports.append(harness._corpus_pass(7)[1])
+    # the premise: on 3 CPUs only the later failure is met in share 0
+    assert checked_here == [graphs[late]]
     assert reports[0].to_dict() == reports[1].to_dict()
     assert not reports[0].passed
-    assert reports[0].counterexample["graph6"] == to_graph6(Graph.from_masks(last[early]))
+    want = to_graph6(Graph.from_masks(graphs[early]))
+    assert reports[0].counterexample["graph6"] == want
     assert_no_child_left()
 
 
