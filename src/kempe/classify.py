@@ -17,6 +17,7 @@ from typing import Callable
 from .coloring import ColoringError, PartialEdgeColoring, kempe_walk
 from .graph import Edge, Graph, edge_key
 from .iso import automorphisms, edge_actions, orbit_representatives
+from .shares import PassedBack
 
 
 class GraphClass(Enum):
@@ -27,13 +28,17 @@ class GraphClass(Enum):
         return f"Class {self.value}"
 
 
-class BudgetExceededError(RuntimeError):
-    """The solver hit its node cap; carries progress for diagnostics."""
+class BudgetExceededError(PassedBack, RuntimeError):
+    """The solver hit its node cap; carries progress for diagnostics. A
+    forked share raises it in its parent as itself (`shares.PassedBack`)."""
 
     def __init__(self, nodes: int, partial: dict[Edge, int]):
         super().__init__(f"solver budget exceeded after {nodes} nodes")
         self.nodes = nodes
         self.partial = partial
+
+    def __reduce__(self):
+        return type(self), (self.nodes, self.partial)
 
 
 DEFAULT_NODE_BUDGET = 50_000_000
@@ -352,22 +357,19 @@ def _search(
 # ---------------------------------------------------------------------------
 
 
-def walk_then_search(
-    g: Graph, k: int, rng: random.Random
-) -> PartialEdgeColoring | None:
+def walk_then_search(g: Graph, k: int, seed: int = 0) -> PartialEdgeColoring | None:
     """A proper k-coloring of g (k >= Delta), or None when none exists:
-    `kempe_walk` colors `g.edges()`, in that order, from the empty
-    coloring in one step per edge plus 8 * k, and `find_edge_coloring`
-    answers only when it gives up, so every None is a refutation."""
-    edges = g.edges()
-    col = kempe_walk(g, k, {}, edges, rng, len(edges) + 8 * k)
+    `kempe_walk` colors g from the empty coloring with `seed`, in one step
+    per edge plus 8 * k, and `find_edge_coloring` answers only when it
+    gives up, so every None is a refutation."""
+    col = kempe_walk(g, k, seed, g.edge_count() + 8 * k)
     return col if col is not None else find_edge_coloring(g, k)
 
 
 def exact_chromatic_index(g: Graph) -> int:
     """Delta if a Delta-coloring exists, else Delta + 1."""
     delta = g.max_degree()
-    found = walk_then_search(g, delta, random.Random(0))
+    found = walk_then_search(g, delta)
     return delta if found is not None else delta + 1
 
 
@@ -384,7 +386,7 @@ def is_critical_edge(g: Graph, e: tuple[int, int]) -> bool:
     h = g.without_edge(e)
     if classify(g) is GraphClass.CLASS1:
         raise ValueError("criticality is defined for Class 2 graphs only")
-    return walk_then_search(h, g.max_degree(), random.Random(0)) is not None
+    return walk_then_search(h, g.max_degree()) is not None
 
 
 def all_edges_critical(g: Graph) -> bool:
@@ -392,14 +394,13 @@ def all_edges_critical(g: Graph) -> bool:
     Delta(g)-colorable for each edge e? The caller supplies the Class 2
     fact. An automorphism taking e to f makes g - e and g - f isomorphic,
     so only the first edge of each orbit under `iso.automorphisms`, in
-    `g.edges()` order, is tried, by `walk_then_search` with one generator
-    seeded per call."""
+    `g.edges()` order, is tried, by `walk_then_search` seeded with that
+    edge's position in `g.edges()`."""
     delta = g.max_degree()
     edges = g.edges()
     actions = edge_actions(edges, automorphisms(g.adjacency_masks()))
-    rng = random.Random(0)
     return all(
-        walk_then_search(g.without_edge(edges[i]), delta, rng) is not None
+        walk_then_search(g.without_edge(edges[i]), delta, i) is not None
         for i in orbit_representatives(len(edges), actions)
     )
 

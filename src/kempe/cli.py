@@ -217,7 +217,8 @@ def build_parser() -> argparse.ArgumentParser:
         description="Edge-coloring toolkit: chromatic index, critical graphs, "
         "Kempe-chain structures, and the empirical verification suite.",
     )
-    parser.add_argument("--json", action="store_true", help="machine-readable output")
+    json_flag = {"action": "store_true", "help": "machine-readable output"}
+    parser.add_argument("--json", **json_flag)
     sub = parser.add_subparsers(dest="command", required=True)
 
     def add_graph_cmd(name, answer, help_text):
@@ -260,6 +261,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seeds", type=int, default=8)
     p.add_argument("--out", help="report directory")
     p.set_defaults(func=cmd_verify)
+    # --json after the subcommand too: SUPPRESS keeps one given before it
+    for p in sub.choices.values():
+        p.add_argument("--json", default=argparse.SUPPRESS, **json_flag)
     return parser
 
 

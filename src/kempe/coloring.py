@@ -446,45 +446,39 @@ def parse_coloring(graph: Graph, text: str) -> PartialEdgeColoring:
 
 
 def kempe_walk(
-    graph: Graph,
-    k: int,
-    assign: dict[Edge, int],
-    queue: list[Edge],
-    rng: random.Random,
-    steps: int,
+    graph: Graph, k: int, seed: int, steps: int
 ) -> PartialEdgeColoring | None:
-    """Extend the proper partial k-coloring `assign` (normalized edge ->
-    color; changed in place) to the uncolored edges `queue` by Kempe
-    changes, as in Vizing's argument, in at most `steps` steps. Returns the
-    full coloring, or None when the steps run out: a None says nothing
-    about whether a k-coloring exists. k must be at least Delta, so each
-    end of an uncolored edge misses a color; a smaller k is a ValueError.
+    """Color the edges of graph with k colors, from the empty coloring, by
+    Kempe changes as in Vizing's argument, in at most `steps` steps.
+    Returns the full coloring, or None when the steps run out: a None says
+    nothing about whether a k-coloring exists. k must be at least Delta, so
+    each end of an uncolored edge misses a color; a smaller k is a
+    ValueError.
 
-    A step pops an uncolored edge uv. If u and v miss a common color, uv
-    takes the least one. Otherwise it picks a missing at u and b missing at
-    v, at random. v is an end of its (a, b)-path; when the path does not
-    end at u, swapping it frees a at v and uv takes a. When it does end at
-    u, a random colored edge at u is uncolored, and both edges go back on
-    the queue, uv on top.
+    The uncolored edges start as `graph.edges()`, last on top. A step pops
+    one, uv. If u and v miss a common color, uv takes the least one.
+    Otherwise it picks a missing at u and b missing at v, at random. v is
+    an end of its (a, b)-path; when the path does not end at u, swapping it
+    frees a at v and uv takes a. When it does end at u, a random colored
+    edge at u is uncolored, and both edges go back on the stack, uv on top.
 
-    The walk keeps, per vertex, a map from each color present to the
-    neighbor across that edge, so a path is followed with one lookup per
-    edge. Its result comes from `PartialEdgeColoring.from_assignment`,
-    which raises ColoringError on an improper coloring, and a coloring
-    missing an edge of graph raises ColoringError too."""
+    The random choices come from `random.Random(seed)`, built at the first
+    step whose ends miss no common color, so a walk that never needs one
+    builds none; a seed always gives the same coloring. The walk keeps, per
+    vertex, a map from each color present to the neighbor across that
+    edge, so a path is followed with one lookup per edge. Its result comes
+    from `PartialEdgeColoring.from_assignment`, which raises ColoringError
+    on an improper coloring."""
     if k < graph.max_degree():
         raise ValueError(f"a walk needs k >= Delta = {graph.max_degree()}, got {k}")
     # at[v]: color -> the neighbor across v's edge of that color;
     # present[v]: bit c set when color c is at v
     at: list[dict[int, int]] = [{} for _ in range(graph.n)]
     present = [0] * graph.n
-    for (u, v), c in assign.items():
-        at[u][c] = v
-        at[v][c] = u
-        present[u] |= 1 << c
-        present[v] |= 1 << c
+    assign: dict[Edge, int] = {}
+    rng = None
     full = (1 << k + 1) - 2
-    pending = list(queue)
+    pending = graph.edges()
     for _ in range(steps):
         if not pending:
             break
@@ -493,6 +487,8 @@ def kempe_walk(
         if common:
             c = (common & -common).bit_length() - 1
         else:
+            if rng is None:
+                rng = random.Random(seed)
             a = rng.choice(bit_positions(full & ~present[u]))
             b = rng.choice(bit_positions(full & ~present[v]))
             path = []
@@ -529,8 +525,6 @@ def kempe_walk(
         assign[u, v] = c
     if pending:
         return None
-    if len(assign) != graph.edge_count():
-        raise ColoringError("the walk left an edge of the graph uncolored")
     return PartialEdgeColoring.from_assignment(graph, k, assign)
 
 

@@ -12,7 +12,6 @@ they carry work counts, never wall times.
 from __future__ import annotations
 
 import json
-import random
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterable
@@ -52,7 +51,7 @@ from .normalize import (
     normalize_k5,
 )
 from .report import VerificationReport, failing, merge_reports, passing, vacuous
-from .shares import job_count, run_shares, units
+from .shares import PassedBack, job_count, run_shares, units
 from .structures import (
     KiersteadPath,
     check_fan_lemmas,
@@ -93,16 +92,16 @@ def _classify_graphs(
     of the first failing one (None when none fails), and the indices of
     the Delta-critical graphs.
 
-    `walk_then_search` colors graph i from the empty coloring with a
-    generator of its own, `random.Random(i)`, so its coloring does not
-    depend on which graphs came before it. Each `Graph` is built when its
-    masks are reached, so the pass never holds a level of them."""
+    `walk_then_search` colors graph i from the empty coloring with seed i,
+    so its coloring does not depend on which graphs came before it. Each
+    `Graph` is built when its masks are reached, so the pass never holds a
+    level of them."""
     fold, failure, critical = None, None, []
     for i in indices:
         g = Graph.from_masks(graphs[i])
         if not g.edge_count():
             continue
-        col = walk_then_search(g, g.max_degree(), random.Random(i))
+        col = walk_then_search(g, g.max_degree(), i)
         if col is None:
             if g.is_connected() and all_edges_critical(g):
                 critical.append(i)
@@ -456,8 +455,9 @@ def lemma_sweep(
     share in a forked child (`shares.run_shares`), and folded in corpus
     order. Merging reports is associative, so the result does not depend
     on the number of CPUs. A graph whose sweep raises fails the sweep with
-    a `RuntimeError` that names its graph6. On more than one CPU this
-    forks, so call it from a process that runs no other thread."""
+    a `RuntimeError` that names its graph6, but a `shares.PassedBack`, such
+    as a solver budget running out, leaves as it is. On more than one CPU
+    this forks, so call it from a process that runs no other thread."""
     jobs = job_count(len(corpus))
     order = sorted(range(len(corpus)), key=lambda i: -corpus[i].edge_count())
 
@@ -467,6 +467,8 @@ def lemma_sweep(
         for i in units(order[j::jobs]):
             try:
                 graphs.append((i, _sweep_graph(corpus[i], seeds)))
+            except PassedBack:
+                raise
             except Exception as exc:
                 graph6 = to_graph6(corpus[i])
                 raise RuntimeError(f"lemma sweep failed on {graph6}") from exc

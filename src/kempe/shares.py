@@ -28,6 +28,13 @@ _MAX_JOBS = 8
 _parent: int | None = None
 
 
+class PassedBack(Exception):
+    """An exception that a forked share's task raises in the process that
+    forked it as itself, where any other becomes a `RuntimeError` around
+    the child's traceback: a limit the caller reports, such as a solver
+    budget, not a fault. It must pickle."""
+
+
 def _usable_cpus() -> int:
     """The number of CPUs this process may run on, or 1 where the OS
     does not say."""
@@ -59,13 +66,14 @@ def run_shares(jobs: int, task: Callable[[int], Any]) -> list:
     Share 0's result comes back as it is, and every other share's as an
     equal copy: a child pickles its result to a pipe and ends with
     `os._exit`, so it never flushes this process's buffered output or
-    runs its exit handlers. A child whose task raises makes this raise
-    `RuntimeError` with the child's traceback, sent as text, since an
-    exception whose constructor takes extra arguments cannot be
-    unpickled; so does a child that ends without a result this process
-    can unpickle. When this process leaves by an exception, its own or a
-    child's, it kills and reaps every child; when a signal kills it, each
-    child ends before its next unit (`units`)."""
+    runs its exit handlers. A child whose task raises a `PassedBack` makes
+    this raise that exception, pickled back; any other makes this raise a
+    `RuntimeError` that holds the child's traceback as text, since an
+    exception whose constructor takes extra arguments need not unpickle;
+    so does a child that ends without a result this process can unpickle.
+    When this process leaves by an exception, its own or a child's, it
+    kills and reaps every child; when a signal kills it, each child ends
+    before its next unit (`units`)."""
     global _parent
     import pickle  # here, so a run that deals no shares never loads it
 
@@ -87,10 +95,13 @@ def run_shares(jobs: int, task: Callable[[int], Any]) -> list:
                     _parent = parent
                     try:
                         message = {"result": task(j)}
+                    except PassedBack as exc:
+                        message = {"raise": exc}
                     except Exception:
                         import traceback  # only a failing share pays for the import
 
-                        message = {"error": traceback.format_exc()}
+                        error = f"forked share {j} failed:\n{traceback.format_exc()}"
+                        message = {"raise": RuntimeError(error)}
                     with open(w, "wb") as out:
                         out.write(pickle.dumps(message))
                     code = 0 if "result" in message else 1
@@ -110,8 +121,8 @@ def run_shares(jobs: int, task: Callable[[int], Any]) -> list:
             except Exception:  # ended mid-write, or a result that fails to load
                 message = {}
             j = len(results)
-            if "error" in message:
-                raise RuntimeError(f"forked share {j} failed:\n{message['error']}")
+            if "raise" in message:
+                raise message["raise"]
             if status or "result" not in message:
                 raise RuntimeError(f"forked share {j} ended with wait status {status}")
             results.append(message["result"])

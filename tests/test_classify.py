@@ -194,11 +194,10 @@ def test_the_walk_only_answers_yes(monkeypatch):
     `walk_then_search` returns a full proper coloring, or None exactly
     where the solver finds none, also for each g - e at k = Delta(g)."""
     graphs = [*graphs_upto(6), builtin_fixture("pstar"), builtin_fixture("petersen")]
-    rng = random.Random(0)
-    for g in graphs:
+    for seed, g in enumerate(graphs):
         delta = g.max_degree()
         for h in [g, *(g.without_edge(e) for e in g.edges())]:
-            col = walk_then_search(h, delta, rng)
+            col = walk_then_search(h, delta, seed)
             if col is None:
                 assert find_edge_coloring(h, delta) is None, h.edges()
             else:

@@ -3,6 +3,7 @@ from __future__ import annotations
 import hashlib
 import io
 import json
+import os
 from pathlib import Path
 
 import pytest
@@ -251,6 +252,47 @@ def test_budget_exhaustion_exit_code(capsys, monkeypatch):
     assert code == 3
     assert captured.out == ""
     assert "budget exceeded after 2 nodes" in captured.err
+
+
+@pytest.mark.parametrize("cpus", [1, 3])
+def test_verify_budget_exhaustion_exit_code(capsys, monkeypatch, cpus):
+    """A node budget that runs out in the lemma sweep, in this process or
+    only in the forked shares, exits 3 with the node count on stderr, not
+    1 with a traceback."""
+    import kempe.harness
+    from kempe.classify import BudgetExceededError
+    from test_shares import assert_no_child_left, use_cpus
+
+    solve, here = kempe.harness.delta_coloring_of_minus_e, os.getpid()
+
+    def exhausted(g, e, seed=0):
+        if cpus == 1 or os.getpid() != here:
+            raise BudgetExceededError(7, {})
+        return solve(g, e, seed=seed)
+
+    monkeypatch.setattr(kempe.harness, "delta_coloring_of_minus_e", exhausted)
+    use_cpus(monkeypatch, cpus)
+    code = main(["verify", "--n-max", "5", "--seeds", "1"])
+    captured = capsys.readouterr()
+    assert code == 3
+    assert captured.out == ""
+    assert captured.err == "error: solver budget exceeded after 7 nodes\n"
+    assert_no_child_left()
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["classify", "pstar"],
+        ["critical", "--edge", "0,1", "triangle"],
+        ["verify", "--suite", "theorem1"],
+    ],
+)
+def test_json_after_the_subcommand(capsys, argv):
+    """`--json` after the subcommand prints the bytes it prints before it."""
+    before = run_cli(capsys, "--json", *argv)
+    assert run_cli(capsys, *argv, "--json") == before
+    assert json.loads(before[1])
 
 
 def test_verify_out_replaces_previous_check_files(capsys, tmp_path: Path):

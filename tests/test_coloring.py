@@ -1,10 +1,12 @@
 from __future__ import annotations
 
 import random
+from types import SimpleNamespace
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from kempe import coloring
 from kempe.classify import find_edge_coloring, vizing_plus_one_coloring
 from kempe.coloring import (
     AssignColor,
@@ -410,15 +412,21 @@ def test_from_assignment_equals_coloring_edge_by_edge():
         assert all(col.missing(v) == built.missing(v) for v in range(g.n))
 
 
+# The path 2-0-1-3-4: at k = 2 its walk swaps an (a, b)-path at its last edge.
+SWAP_PATH = Graph(5, [(0, 1), (0, 2), (1, 3), (3, 4)])
+
+
 def test_kempe_walk_swaps_a_path_to_free_a_color():
-    """On the path 3-0-1-2 with 12 colored 1 and 03 colored 2, the ends of 01
-    miss no common color; the (1, 2)-path from 1 is the edge 12, which does
-    not reach 0, so one step swaps it and colors 01 with 1."""
-    g = Graph(4, [(0, 1), (1, 2), (0, 3)])
-    col = kempe_walk(g, 2, {(1, 2): 1, (0, 3): 2}, [(0, 1)], random.Random(0), 1)
-    assert col.colored_edges() == {(1, 2): 2, (0, 3): 2, (0, 1): 1}
-    assert col.is_full() and col.validate()
-    assert kempe_walk(g, 2, {(1, 2): 1, (0, 3): 2}, [(0, 1)], random.Random(0), 0) is None
+    """On the path 2-0-1-3-4 at k = 2 the walk colors 34 with 1, 13 with 2
+    and 02 with 1. Then 0 misses only 2 and 1 misses only 1, so 01 has no
+    common missing color; the (2, 1)-path from 1 is 13, 34, which ends at
+    4, not at 0, so swapping it frees 2 at 1 and 01 takes 2: one step per
+    edge, whatever the seed, since each end misses one color."""
+    for seed in range(4):
+        col = kempe_walk(SWAP_PATH, 2, seed, 4)
+        assert col.colored_edges() == {(3, 4): 2, (1, 3): 1, (0, 2): 1, (0, 1): 2}
+        assert col.is_full() and col.validate()
+        assert kempe_walk(SWAP_PATH, 2, seed, 3) is None
 
 
 def test_kempe_walk_answers_only_yes():
@@ -427,31 +435,63 @@ def test_kempe_walk_answers_only_yes():
     never raises. It never colors a Class 2 graph with Delta colors, it
     colors every graph with Delta + 1, and it gives up on few Class 1
     graphs."""
-    rng = random.Random(0)
     class1 = gave_up = 0
-    for n in range(1, 7):
-        for g in enumerate_graphs(n):
-            delta = g.max_degree()
-            colorable = find_edge_coloring(g, delta) is not None
-            class1 += colorable
-            for k in (delta, delta + 1):
-                col = kempe_walk(g, k, {}, g.edges(), rng, 8 * k * g.edge_count())
-                if col is None:
-                    assert k == delta
-                    gave_up += colorable
-                    continue
-                assert col.k == k and col.is_full() and col.validate()
-                assert colorable or k > delta
+    for seed, g in enumerate(g for n in range(1, 7) for g in enumerate_graphs(n)):
+        delta = g.max_degree()
+        colorable = find_edge_coloring(g, delta) is not None
+        class1 += colorable
+        for k in (delta, delta + 1):
+            col = kempe_walk(g, k, seed, 8 * k * g.edge_count())
+            if col is None:
+                assert k == delta
+                gave_up += colorable
+                continue
+            assert col.k == k and col.is_full() and col.validate()
+            assert colorable or k > delta
     assert class1 == 189 and gave_up <= class1 // 50
 
 
-def test_kempe_walk_validates_its_result():
-    g = cycle_graph(4)
-    rng = random.Random(0)
+class StuckChoice(random.Random):
+    """A generator whose every choice is color 1, missing or not."""
+
+    def choice(self, seq):
+        return 1
+
+
+def test_kempe_walk_validates_its_result(monkeypatch):
+    """A walk whose generator draws a color that is present colors 01 of
+    the path 2-0-1-3-4 with 1, next to 02 colored 1, and the improper
+    result is refused."""
+    monkeypatch.setattr(coloring, "random", SimpleNamespace(Random=StuckChoice))
     with pytest.raises(ColoringError, match="already present"):
-        improper = {(0, 1): 1, (1, 2): 1, (2, 3): 2, (0, 3): 2}
-        kempe_walk(g, 2, improper, [], rng, 10)
-    with pytest.raises(ColoringError, match="uncolored"):
-        kempe_walk(g, 2, {(0, 1): 1}, [(1, 2)], rng, 10)  # (2, 3) never queued
+        kempe_walk(SWAP_PATH, 2, 0, 4)
     with pytest.raises(ValueError, match="k >= Delta"):
-        kempe_walk(g, 1, {}, g.edges(), rng, 10)
+        kempe_walk(cycle_graph(4), 1, 0, 10)
+
+
+def test_kempe_walk_builds_its_generator_at_its_first_draw(monkeypatch):
+    """`random.Random(seed)` is built only when the ends of an edge miss no
+    common color, and once per walk however many such steps it takes. A
+    seed gives the same coloring whatever was walked before it, and two
+    seeds can give two colorings."""
+    built = []
+
+    class Counted(random.Random):
+        def __init__(self, seed):
+            built.append(seed)
+            super().__init__(seed)
+
+    monkeypatch.setattr(coloring, "random", SimpleNamespace(Random=Counted))
+    # C4 from its last edge back: every edge finds a common missing color
+    assert kempe_walk(cycle_graph(4), 2, 5, 4).is_full()
+    assert built == []
+    assert kempe_walk(SWAP_PATH, 2, 5, 4).is_full()
+    assert built == [5]
+    # K6 at k = 5 meets several such steps and draws again at each one
+    k6 = builtin_fixture("k6")
+    first = kempe_walk(k6, 5, 7, 55)
+    assert first.is_full() and built == [5, 7]
+    for seed, g in enumerate([k6, builtin_fixture("petersen"), cycle_graph(5)]):
+        kempe_walk(g, g.max_degree(), seed, 100)
+    assert kempe_walk(k6, 5, 7, 55) == first
+    assert any(kempe_walk(k6, 5, seed, 55) != first for seed in range(8))

@@ -397,7 +397,7 @@ def test_corpus_pass_keeps_the_first_parity_failure(monkeypatch):
 
     def walked(i, seed):
         g = Graph.from_masks(graphs[i])
-        return walk_then_search(g, g.max_degree(), random.Random(seed)).serialize()
+        return walk_then_search(g, g.max_degree(), seed).serialize()
 
     early = next(
         i for i in class1[len(class1) // 2:]

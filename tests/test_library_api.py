@@ -140,8 +140,8 @@ def test_one_routine_walks_then_searches():
 
 def test_a_stray_walk_is_found(tmp_path: Path):
     (tmp_path / "classify.py").write_text(
-        "def walk_then_search(g, k, rng):\n"
-        "    return kempe_walk(g, k, {}, [], rng, 0) or find_edge_coloring(g, k)\n\n\n"
+        "def walk_then_search(g, k, seed=0):\n"
+        "    return kempe_walk(g, k, seed, 0) or find_edge_coloring(g, k)\n\n\n"
         "def is_critical_edge(g, e):\n    return coloring.kempe_walk(g, 3)\n"
     )
     (tmp_path / "harness.py").write_text(

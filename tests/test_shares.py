@@ -9,6 +9,7 @@ import time
 import pytest
 
 import kempe.shares as shares
+from kempe.classify import BudgetExceededError
 from kempe.report import VerificationReport, passing
 from kempe.shares import run_shares, units
 
@@ -64,6 +65,23 @@ def test_results_come_back_in_share_order(monkeypatch):
     for j, r in enumerate(results):
         assert type(r["report"]) is VerificationReport
         assert r["report"] == passing("check", met=j, pair=[j, j])
+    assert_no_child_left()
+
+
+def test_a_budget_error_comes_back_as_itself():
+    """A child whose task runs out of solver budget makes this process
+    raise the same `BudgetExceededError`, with its node count and partial
+    coloring, not a `RuntimeError` around its traceback."""
+
+    def task(j):
+        if j:
+            raise BudgetExceededError(7, {(0, 1): j})
+        return []
+
+    with pytest.raises(BudgetExceededError) as info:
+        run_shares(3, task)
+    assert str(info.value) == "solver budget exceeded after 7 nodes"
+    assert (info.value.nodes, info.value.partial) == (7, {(0, 1): 1})
     assert_no_child_left()
 
 
